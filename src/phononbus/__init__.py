@@ -27,6 +27,7 @@ from .device import (
 )
 from .dynamics import (
     DetuningSchedule,
+    Evolution,
     LindbladModel,
     Segment,
     SimOptions,

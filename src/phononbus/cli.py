@@ -99,7 +99,7 @@ def _spin_params(spin: SpinSection, b_x: float | None = None, b_z: float | None 
     )
 
 
-def _cmd_simulate(cfg: RunConfig, out_dir: Path, jobs: int) -> list[Path]:
+def _cmd_simulate(cfg: RunConfig, out_dir: Path) -> list[Path]:
     cfg.require("rates", "protocol")
     proto = cfg.protocol
     options = cfg.sim
@@ -121,14 +121,14 @@ def _cmd_simulate(cfg: RunConfig, out_dir: Path, jobs: int) -> list[Path]:
     return [csv_path]
 
 
-def _cmd_sweep(cfg: RunConfig, out_dir: Path, jobs: int) -> list[Path]:
+def _cmd_sweep(cfg: RunConfig, out_dir: Path) -> list[Path]:
     cfg.require("rates", "sweep")
     sw = cfg.sweep
     options = cfg.sim
 
     if sw.kind == "hierarchy":
         report = protocol_hierarchy(
-            cfg.rates, sw.values, options, delta_p=sw.delta_p, delta_i=sw.delta_i, jobs=jobs
+            cfg.rates, sw.values, options, delta_p=sw.delta_p, delta_i=sw.delta_i
         )
         csv_path = out_dir / "hierarchy.csv"
         rows = []
@@ -159,7 +159,7 @@ def _cmd_sweep(cfg: RunConfig, out_dir: Path, jobs: int) -> list[Path]:
         _write_json(json_path, summary)
         return [csv_path, json_path]
 
-    points = sweep(sw.kind, sw.values, cfg.rates, options, jobs=jobs, spin_decay_model=cfg.spin_decay_model)
+    points = sweep(sw.kind, sw.values, cfg.rates, options, spin_decay_model=cfg.spin_decay_model)
     failed = [p for p in points if p.error is not None]
     for p in failed:
         warnings.warn(f"sweep point {p.param:g} failed: {p.error}", TransducerWarning, stacklevel=2)
@@ -191,7 +191,7 @@ def _cmd_sweep(cfg: RunConfig, out_dir: Path, jobs: int) -> list[Path]:
     return [csv_path, json_path]
 
 
-def _cmd_spin_field(cfg: RunConfig, out_dir: Path, jobs: int) -> list[Path]:
+def _cmd_spin_field(cfg: RunConfig, out_dir: Path) -> list[Path]:
     cfg.require("spin")
     spin = cfg.spin
     if not spin.b_max_grid:
@@ -229,7 +229,7 @@ def _cmd_spin_field(cfg: RunConfig, out_dir: Path, jobs: int) -> list[Path]:
     return [csv_path]
 
 
-def _cmd_coupling(cfg: RunConfig, out_dir: Path, jobs: int) -> list[Path]:
+def _cmd_coupling(cfg: RunConfig, out_dir: Path) -> list[Path]:
     cfg.require("rates", "device", "spin")
     dev = cfg.device
     for key in ("e_profile_path", "t_profile_path", "piezo_path"):
@@ -282,7 +282,7 @@ def _cmd_coupling(cfg: RunConfig, out_dir: Path, jobs: int) -> list[Path]:
     return [json_path]
 
 
-def _cmd_qbudget(cfg: RunConfig, out_dir: Path, jobs: int) -> list[Path]:
+def _cmd_qbudget(cfg: RunConfig, out_dir: Path) -> list[Path]:
     cfg.require("rates", "qbudget")
     q_mech = q_total(cfg.qbudget)
     kappa_p = kappa_from_q(cfg.rates.f_p, q_mech)
@@ -327,7 +327,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="run configuration file")
         p.add_argument("--out", default=None, help="output directory (overrides [output])")
-        p.add_argument("--jobs", type=int, default=1, help="parallel workers for sweeps")
+        p.add_argument("--jobs", type=int, default=1, help="accepted and recorded; has no effect")
         p.add_argument("--seed", type=int, default=None, help="reserved; recorded in the manifest")
     return parser
 
@@ -341,7 +341,7 @@ def main(argv=None) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            outputs = _HANDLERS[args.command](cfg, out_dir, max(1, args.jobs))
+            outputs = _HANDLERS[args.command](cfg, out_dir)
             messages = [str(w.message) for w in caught]
         for msg in messages:
             print(f"warning: {msg}", file=sys.stderr)

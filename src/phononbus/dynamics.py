@@ -10,16 +10,23 @@ factors enter here and only here:
     angular rate 2pi*kappa on jumps (s-_sc, a, s-_e), so a lone excitation
     decays as exp(-2pi kappa t).
 
-Two integration routes are provided. The default treats each constant
-segment exactly by exponentiating the Liouvillian superoperator; an adaptive
-Runge-Kutta stepper over the same Liouvillian serves as the cross-check and
-would extend to smooth schedules.
+The Hamiltonian conserves the total excitation number and every jump lowers
+it (s-_sc, a, s-_e) or keeps it (sz_e), so a state never leaves the block of
+basis states that hold no more excitations than the most excited state it
+starts with. One kernel, :class:`Evolution`, works on that block for
+``evolve``, ``propagate_segment`` and the protocols' peak refinement. By
+default it treats each constant segment exactly, from one eigendecomposition
+of the block Liouvillian (expm where that is ill-conditioned); an adaptive
+Runge-Kutta stepper on the same block serves as the cross-check and would
+extend to smooth schedules. A single excitation never reaches the second
+phonon level, so the truncation n_ph bounds the phonon ladder only for states
+with more than one excitation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -35,6 +42,9 @@ TWO_PI = 2.0 * math.pi
 SINGLE_EXCITATION_TARGETS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 TRAJECTORY_CSV_HEADER = "t_s,P_sc,P_p,P_e,F_sc,F_p,F_e,trace_err"
+
+# Sample times evaluated per batch: bounds the work array at (d_block**2, SAMPLE_CHUNK).
+SAMPLE_CHUNK = 100
 
 
 @dataclass(frozen=True)
@@ -95,7 +105,8 @@ class SimOptions:
 
     method: "piecewise-exponential" (exact per constant segment) or
     "adaptive-stepper". rel_tol controls the stepper and the documented
-    agreement between the two routes. n_ph is the phonon truncation.
+    agreement between the two routes. n_ph is the phonon truncation (exact
+    for a single excitation from n_ph = 2 on).
     sample_dt defaults to duration/2000 when omitted.
     """
 
@@ -267,55 +278,48 @@ def liouvillian(h_matrix: np.ndarray, jumps: Iterable[tuple[float, np.ndarray]])
     return l_super
 
 
-def segment_liouvillian(model: LindbladModel, segment: Segment) -> np.ndarray:
+def segment_liouvillian(
+    model: LindbladModel, segment: Segment, block: np.ndarray | None = None
+) -> np.ndarray:
+    """Generator of one segment on the basis states ``block`` (default: all of them).
+
+    A block of every state up to some excitation number is exact: no jump
+    leads out of it, and the dynamics never leave it.
+    """
     h = build_rotating_hamiltonian(
         model.rates, (segment.delta_sc, segment.delta_e, segment.delta_p), model.layout
-    )
-    return liouvillian(h.matrix, jump_operators(model))
+    ).matrix
+    jumps = jump_operators(model)
+    if block is not None:
+        ix = np.ix_(block, block)
+        h = h[ix]
+        jumps = [(rate, c[ix]) for rate, c in jumps]
+    return liouvillian(h, jumps)
 
 
 def _vec(rho: np.ndarray) -> np.ndarray:
     return rho.reshape(-1, order="F")
 
 
-def _unvec(v: np.ndarray, d: int) -> np.ndarray:
-    return v.reshape(d, d, order="F")
+def _densities(states: np.ndarray) -> np.ndarray:
+    """Symmetrized density matrices, shape (m, d, d), from column-stacked states (d*d, m)."""
+    d = math.isqrt(states.shape[0])
+    rhos = states.T.reshape(-1, d, d).transpose(0, 2, 1)
+    return 0.5 * (rhos + rhos.conj().transpose(0, 2, 1))
 
 
-def _symmetrized(rho: np.ndarray) -> np.ndarray:
-    return 0.5 * (rho + rho.conj().T)
-
-
-def _checked_expm(l_super: np.ndarray, dt: float) -> np.ndarray:
-    p = expm(l_super * dt)
-    if not np.all(np.isfinite(p)):
-        raise IntegrationError(
-            f"superoperator exponential overflowed for step {dt:.3e} s"
-        )
-    return p
-
-
-class _SegmentPropagator:
-    """Exact propagation within one constant segment, with step caching.
-
-    Cache keys are rounded to 12 significant digits: consecutive sample
-    times differ by the same nominal step up to 1-ulp noise, and a 1e-12
-    relative step perturbation is far below every monitored tolerance.
-    """
-
-    def __init__(self, l_super: np.ndarray):
-        self.l_super = l_super
-        self._cache: dict[str, np.ndarray] = {}
-
-    def advance(self, v: np.ndarray, dt: float) -> np.ndarray:
-        if dt == 0.0:
-            return v
-        key = f"{dt:.12e}"
-        p = self._cache.get(key)
-        if p is None:
-            p = _checked_expm(self.l_super, float(key))
-            self._cache[key] = p
-        return p @ v
+def _spectral_form(l_super: np.ndarray):
+    """(w, V, V^-1) with L = V diag(w) V^-1, or None when L is defective or ill-conditioned."""
+    try:
+        w, v = np.linalg.eig(l_super)
+        vinv = np.linalg.inv(v)
+    except np.linalg.LinAlgError:
+        return None
+    recon_err = np.abs((v * w) @ vinv - l_super).max()
+    scale = max(np.abs(l_super).max(), 1.0)
+    if recon_err <= 1e-9 * scale and np.linalg.cond(v) < 1e8:
+        return w, v, vinv
+    return None
 
 
 def _adaptive_segment(
@@ -341,6 +345,107 @@ def _adaptive_segment(
     return sol.y
 
 
+class Evolution:
+    """rho(t) of one run, on the excitation block that rho0 occupies.
+
+    The Hamiltonian conserves the total excitation number and every jump
+    lowers or keeps it, so rho(t) stays on the block of basis states that
+    hold no more excitations than the most excited state in the support of
+    rho0; outside it rho(t) is exactly 0. Each segment's Liouvillian is built
+    on that block and diagonalized once, and states are evaluated from the
+    segment start in spectral form. A segment whose eigendecomposition fails
+    its reconstruction check or has cond(V) >= 1e8 (near an exceptional point)
+    is marched by expm instead, with one exponential per distinct step. With
+    method "adaptive-stepper" a DOP853 stepper integrates the block.
+    """
+
+    def __init__(self, model: LindbladModel, rho0: DensityMatrix, options: SimOptions):
+        if rho0.layout != model.layout:
+            raise ValueError("initial state layout does not match the model layout")
+        self.model = model
+        self.options = options
+        self.segments = model.schedule.segments
+        dims = model.layout.dims
+        excitations = np.indices(dims).reshape(len(dims), -1).sum(axis=0)
+        m = np.asarray(rho0.matrix)
+        support = np.any(m != 0, axis=0) | np.any(m != 0, axis=1)
+        self.block = np.flatnonzero(excitations <= excitations[support].max())
+        self._generators: list[tuple | None] = [None] * len(self.segments)
+        self._starts: list[np.ndarray | None] = [None] * len(self.segments)
+        rho = m[np.ix_(self.block, self.block)]
+        self._starts[0] = _vec(0.5 * (rho + rho.conj().T))
+
+    def _generator(self, k: int) -> tuple:
+        """(L, spectral form or None) of segment k, built on first use."""
+        if self._generators[k] is None:
+            l_super = segment_liouvillian(self.model, self.segments[k], self.block)
+            adaptive = self.options.method == "adaptive-stepper"
+            self._generators[k] = (l_super, None if adaptive else _spectral_form(l_super))
+        return self._generators[k]
+
+    def _start(self, k: int) -> np.ndarray:
+        if self._starts[k] is None:
+            end = next(self.sampled(k - 1, np.array([self.segments[k - 1].duration])))
+            self._starts[k] = _vec(end[0])
+        return self._starts[k]
+
+    def sampled(self, k: int, ts: np.ndarray):
+        """Yield block density matrices at ``ts``, SAMPLE_CHUNK at a time.
+
+        ``ts`` is ascending and measured from the start of segment k.
+        """
+        l_super, spectral = self._generator(k)
+        v = self._start(k)
+        adaptive = self.options.method == "adaptive-stepper"
+        if adaptive and ts.size:
+            states = _adaptive_segment(l_super, v, ts, self.options.rel_tol)
+        exponentials: dict[float, np.ndarray] = {}
+        t_prev = 0.0
+        for j in range(0, ts.size, SAMPLE_CHUNK):
+            t = ts[j : j + SAMPLE_CHUNK]
+            if adaptive:
+                chunk = states[:, j : j + SAMPLE_CHUNK]
+            elif spectral is not None:
+                w, vr, vinv = spectral
+                chunk = vr @ (np.exp(np.outer(w, t)) * (vinv @ v)[:, None])
+            else:
+                chunk = np.empty((v.size, t.size), dtype=complex)
+                for i, step in enumerate(np.diff(t, prepend=t_prev)):
+                    if step not in exponentials:
+                        exponentials[step] = expm(l_super * step)
+                    v = exponentials[step] @ v
+                    chunk[:, i] = v
+                t_prev = t[-1]
+            if not np.all(np.isfinite(chunk)):
+                raise IntegrationError("propagation produced a non-finite state")
+            yield _densities(chunk)
+
+    def block_state(self, t: float) -> np.ndarray:
+        """Block density matrix at time t, clamped to the schedule."""
+        k = next((i for i, seg in enumerate(self.segments) if t <= seg.t_end), len(self.segments) - 1)
+        seg = self.segments[k]
+        dt = min(max(t - seg.t_start, 0.0), seg.duration)
+        if dt == 0.0:
+            return _densities(self._start(k)[:, None])[0]
+        return next(self.sampled(k, np.array([dt])))[0]
+
+    def _position(self, labels) -> int | None:
+        """Index of |labels> within the block, or None outside it."""
+        where = np.flatnonzero(self.block == self.model.layout.index(labels))
+        return int(where[0]) if where.size else None
+
+    def population(self, labels, t: float) -> float:
+        """<labels| rho(t) |labels>; exactly 0 outside the block."""
+        j = self._position(labels)
+        return 0.0 if j is None else float(self.block_state(t)[j, j].real)
+
+    def state(self, t: float) -> DensityMatrix:
+        """rho(t) on the full space."""
+        full = np.zeros((self.model.layout.dim,) * 2, dtype=complex)
+        full[np.ix_(self.block, self.block)] = self.block_state(t)
+        return DensityMatrix(full, self.model.layout)
+
+
 def sample_times(duration: float, dt: float) -> np.ndarray:
     """Uniform grid 0, dt, 2dt, ... always ending exactly at ``duration``."""
     n_full = int(math.floor(duration / dt + 1e-9))
@@ -360,13 +465,13 @@ def evolve(
 ) -> Trajectory:
     """Integrate the master equation over the model's schedule.
 
-    Samples every ``options.sample_dt`` (default: duration/2000). The state
-    is re-symmetrized at every sample; trace error and the most negative
-    eigenvalue are monitored, never corrected.
+    Samples every ``options.sample_dt`` (default: duration/2000) through an
+    :class:`Evolution`. Each sampled state is symmetrized; trace error and
+    the most negative eigenvalue of the full state are monitored, never
+    corrected. A target outside the excitation block of rho0 reads 0.
     """
+    evolution = Evolution(model, rho0, options)
     layout = model.layout
-    if rho0.layout != layout:
-        raise ValueError("initial state layout does not match the model layout")
     duration = model.schedule.duration
     dt = options.sample_dt if options.sample_dt is not None else duration / 2000.0
     ts = sample_times(duration, dt)
@@ -377,67 +482,37 @@ def evolve(
     for t in SINGLE_EXCITATION_TARGETS:
         if t not in target_list:
             target_list.append(t)
-    target_idx = {"".join(map(str, t)): layout.index(t) for t in target_list}
+    target_pos = {"".join(map(str, t)): evolution._position(t) for t in target_list}
 
     ops = tripartite_operators(layout)
-    n_diags = {k: np.real(np.diag(ops[k])) for k in ("n_sc", "n_p", "n_e")}
+    counts = np.stack([np.real(np.diag(ops[k]))[evolution.block] for k in ("n_sc", "n_p", "n_e")], axis=1)
 
-    d = layout.dim
     n_samples = ts.size
-    p_sc = np.empty(n_samples)
-    p_p = np.empty(n_samples)
-    p_e = np.empty(n_samples)
-    fids = {k: np.empty(n_samples) for k in target_idx}
+    pops = np.empty((n_samples, 3))
+    fids = {key: np.zeros(n_samples) for key in target_pos}
     tr_errs = np.empty(n_samples)
     min_eigs = np.empty(n_samples)
 
-    def record(k: int, rho: np.ndarray):
-        diag = np.real(np.diag(rho))
-        p_sc[k] = float(n_diags["n_sc"] @ diag)
-        p_p[k] = float(n_diags["n_p"] @ diag)
-        p_e[k] = float(n_diags["n_e"] @ diag)
-        for key, idx in target_idx.items():
-            fids[key][k] = diag[idx]
-        tr_errs[k] = abs(diag.sum() - 1.0)
-        min_eigs[k] = float(np.linalg.eigvalsh(rho)[0])
+    def record(k: int, rhos: np.ndarray):
+        sl = slice(k, k + len(rhos))
+        diag = np.real(np.diagonal(rhos, axis1=1, axis2=2))
+        pops[sl] = diag @ counts
+        for key, j in target_pos.items():
+            if j is not None:
+                fids[key][sl] = diag[:, j]
+        tr_errs[sl] = np.abs(diag.sum(axis=1) - 1.0)
+        min_eigs[sl] = np.linalg.eigvalsh(rhos)[:, 0]
 
-    rho = _symmetrized(np.asarray(rho0.matrix))
-    record(0, rho)
-    v = _vec(rho)
-
-    adaptive = options.method == "adaptive-stepper"
-    k_next = 1
-    for segment in model.schedule.segments:
-        in_seg = []
-        while k_next < n_samples and ts[k_next] <= segment.t_end + 1e-9 * max(dt, 1e-30):
-            in_seg.append(k_next)
-            k_next += 1
-        eval_rel = [ts[k] - segment.t_start for k in in_seg]
-        if not eval_rel or eval_rel[-1] < segment.duration:
-            eval_rel.append(segment.duration)      # always land on the boundary
-        eval_rel = np.asarray(eval_rel)
-
-        l_super = segment_liouvillian(model, segment)
-        if adaptive:
-            states = _adaptive_segment(l_super, v, eval_rel, options.rel_tol)
-            if not np.all(np.isfinite(states)):
-                raise IntegrationError("adaptive stepper produced non-finite state")
-            for col, k in enumerate(in_seg):
-                rho_k = _symmetrized(_unvec(states[:, col], d))
-                record(k, rho_k)
-            v = _vec(_symmetrized(_unvec(states[:, -1], d)))
-        else:
-            prop = _SegmentPropagator(l_super)
-            t_prev = 0.0
-            for col, t_rel in enumerate(eval_rel):
-                v = prop.advance(v, t_rel - t_prev)
-                t_prev = t_rel
-                rho_k = _symmetrized(_unvec(v, d))
-                v = _vec(rho_k)
-                if col < len(in_seg):
-                    record(in_seg[col], rho_k)
-
-    return Trajectory(ts, p_sc, p_p, p_e, fids, tr_errs, min_eigs)
+    record(0, evolution.block_state(0.0)[None])
+    k = 1
+    for i, segment in enumerate(model.schedule.segments):
+        stop = int(np.searchsorted(ts, segment.t_end + 1e-9 * dt, side="right"))
+        for rhos in evolution.sampled(i, ts[k:stop] - segment.t_start):
+            record(k, rhos)
+            k += len(rhos)
+    if evolution.block.size < layout.dim:
+        np.minimum(min_eigs, 0.0, out=min_eigs)      # the states outside the block hold exactly 0
+    return Trajectory(ts, pops[:, 0], pops[:, 1], pops[:, 2], fids, tr_errs, min_eigs)
 
 
 def propagate_segment(
@@ -446,15 +521,9 @@ def propagate_segment(
     """Apply one constant segment as a single completely positive map."""
     if rho.layout != model.layout:
         raise ValueError("state layout does not match the model layout")
-    l_super = segment_liouvillian(model, segment)
-    if options.method == "adaptive-stepper" and segment.duration > 0.0:
-        states = _adaptive_segment(
-            l_super, _vec(np.asarray(rho.matrix)), np.array([segment.duration]), options.rel_tol
-        )
-        out = states[:, -1]
-    else:
-        p = _checked_expm(l_super, segment.duration)
-        out = p @ _vec(np.asarray(rho.matrix))
-    if not np.all(np.isfinite(out)):
-        raise IntegrationError("segment propagation produced non-finite state")
-    return DensityMatrix(_symmetrized(_unvec(out, model.layout.dim)), model.layout)
+    if segment.duration == 0.0:
+        return rho
+    schedule = DetuningSchedule.constant(
+        segment.duration, segment.delta_sc, segment.delta_e, segment.delta_p
+    )
+    return Evolution(replace(model, schedule=schedule), rho, options).state(segment.duration)

@@ -154,6 +154,19 @@ def test_sweep_end_to_end(tmp_path):
     assert summary["resolved_config"]["sweep"]["kind"] == "delta-i"
 
 
+def test_sweep_jobs_flag_is_accepted_and_ignored(tmp_path):
+    body = RATES_BLOCK + "[sweep]\nkind = delta-g\nvalues = 0.0, 2e6\n" + SIM_BLOCK
+    cfg_path = write_config(tmp_path, body)
+    bodies = []
+    for jobs in (1, 2):
+        out_dir = tmp_path / f"jobs{jobs}"
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(out_dir), "--jobs", str(jobs)]) == 0
+        bodies.append((out_dir / "sweep.csv").read_bytes())
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert manifest["resolved_config"]["_cli"]["jobs"] == jobs
+    assert bodies[0] == bodies[1]
+
+
 def test_sweep_exit_5_when_all_points_fail(tmp_path):
     body = RATES_BLOCK + "[sweep]\nkind = delta-p\nvalues = 0.0\n" + SIM_BLOCK
     cfg_path = write_config(tmp_path, body)

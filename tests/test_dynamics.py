@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from phononbus import dynamics
 from phononbus.device import SystemRates
 from phononbus.dynamics import (
     TWO_PI,
@@ -11,6 +12,8 @@ from phononbus.dynamics import (
     SimOptions,
     build_rotating_hamiltonian,
     evolve,
+    jump_operators,
+    liouvillian,
     propagate_segment,
     sample_times,
     tripartite_operators,
@@ -263,7 +266,89 @@ def test_custom_fidelity_targets():
     assert traj.fidelities["020"].max() <= 1e-12  # two-phonon state never populated
 
 
-def test_operator_cache_reuses_uniform_steps():
+def test_tripartite_operator_shapes():
     ops = tripartite_operators(LAYOUT)
     assert ops["n_sc"].shape == (12, 12)
     assert np.abs(ops["a"] @ ops["a"].conj().T - ops["a"].conj().T @ ops["a"]).max() > 0
+
+
+# ------------------------------------------- block kernel vs full space
+
+BLOCK_DT = 2e-9
+
+
+def full_space_reference(model, rho0):
+    """Full-space states every BLOCK_DT from expm of the full Liouvillian; segment ends lie on samples."""
+    d = model.layout.dim
+    jumps = jump_operators(model)
+    v = rho0.matrix.reshape(-1, order="F")
+    states = [v]
+    for seg in model.schedule.segments:
+        h = build_rotating_hamiltonian(model.rates, (seg.delta_sc, seg.delta_e, seg.delta_p), model.layout)
+        step = expm(liouvillian(h.matrix, jumps) * BLOCK_DT)
+        for _ in range(round(seg.duration / BLOCK_DT)):
+            v = step @ v
+            states.append(v)
+    return [0.5 * (r + r.conj().T) for r in (v.reshape(d, d, order="F") for v in states)]
+
+
+def block_start(name, layout):
+    if name == "100+001":
+        psi = np.zeros(layout.dim, dtype=complex)
+        psi[layout.index((1, 0, 0))] = psi[layout.index((0, 0, 1))] = 1 / np.sqrt(2)
+        return DensityMatrix(np.outer(psi, psi.conj()), layout)
+    return basis_ket(tuple(int(c) for c in name), layout)
+
+
+@pytest.mark.parametrize("start", ["100", "100+001", "110"])
+@pytest.mark.parametrize("spin_decay", ["energy", "dephasing"])
+@pytest.mark.parametrize("n_ph", [2, 3, 4])
+def test_block_kernel_matches_full_liouvillian(n_ph, spin_decay, start):
+    layout = SpaceLayout.tripartite(n_ph)
+    rates = make_rates(kappa_sc=1e6, kappa_p=5e5, kappa_e=2e6, g_scp=8e6, g_pe=5e6)
+    segments = (
+        Segment(0.0, 4e-8, delta_e=20e6, delta_p=5e6),
+        Segment(4e-8, 1e-7, delta_sc=-15e6, delta_p=-8e6),
+    )
+    model = LindbladModel(rates, layout, DetuningSchedule(segments), spin_decay)
+    rho0 = block_start(start, layout)
+    options = SimOptions(n_ph=n_ph, sample_dt=BLOCK_DT)
+    traj = evolve(model, rho0, options, targets=[(1, 1, 1)])
+    ref = full_space_reference(model, rho0)
+    assert traj.times.size == len(ref)
+
+    ops = tripartite_operators(layout)
+    for name, got in (("n_sc", traj.p_sc), ("n_p", traj.p_p), ("n_e", traj.p_e)):
+        want = [np.trace(ops[name] @ r).real for r in ref]
+        assert np.abs(got - want).max() <= 1e-10, name
+    for key, got in traj.fidelities.items():
+        idx = layout.index(tuple(int(c) for c in key))
+        assert np.abs(got - [r[idx, idx].real for r in ref]).max() <= 1e-10, key
+    np.testing.assert_array_equal(traj.fidelities["111"], 0.0)   # outside every start's block
+    assert np.abs(traj.trace_errs - [abs(np.trace(r) - 1) for r in ref]).max() <= 1e-10
+    assert np.abs(traj.min_eigenvalues - [np.linalg.eigvalsh(r)[0] for r in ref]).max() <= 1e-10
+
+    rho = rho0
+    for seg in segments:
+        rho = propagate_segment(model, rho, seg, options)
+    assert np.abs(rho.matrix - ref[-1]).max() <= 1e-10
+
+
+def test_exceptional_point_takes_the_expm_fallback(monkeypatch):
+    # g_scp = |kappa_sc - kappa_p|/4 with g_pe = 0: the transmon-phonon pair sits
+    # at its exceptional point and the block Liouvillian is defective
+    kappa_sc, kappa_p = 1e6, 2e5
+    g = abs(kappa_sc - kappa_p) / 4
+    model = make_model(make_rates(kappa_sc=kappa_sc, kappa_p=kappa_p, g_scp=g, g_pe=0.0), 2e-6)
+    calls = []
+
+    def counting_expm(a):
+        calls.append(a.shape)
+        return expm(a)
+
+    monkeypatch.setattr(dynamics, "expm", counting_expm)
+    traj = evolve(model, basis_ket((1, 0, 0), LAYOUT), SimOptions())
+    assert calls, "the spectral form was used at the exceptional point"
+    h_eff = TWO_PI * np.array([[0.0, g], [g, 0.0]]) - 1j * np.pi * np.diag([kappa_sc, kappa_p])
+    want = [abs(expm(-1j * h_eff * t)[0, 0]) ** 2 for t in traj.times]
+    assert np.abs(traj.p_sc - want).max() <= 1e-12

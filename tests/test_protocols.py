@@ -139,14 +139,6 @@ def test_sweep_rejects_empty_grid_and_bad_kind():
     assert pts[0].error is not None
 
 
-def test_sweep_parallel_matches_serial():
-    values = [0.5e9, 1.0e9]
-    serial = sweep("delta-i", values, rates(g_scp=10e6, lossless=False), OPTS, jobs=1)
-    parallel = sweep("delta-i", values, rates(g_scp=10e6, lossless=False), OPTS, jobs=2)
-    for a, b in zip(serial, parallel):
-        assert a.f_e_max == b.f_e_max and a.t_opt == b.t_opt
-
-
 def test_hierarchy_best_is_argmax_and_structure():
     q_grid = [1e4, 1e6]
     rep = protocol_hierarchy(rates(g_scp=10e6, lossless=False), q_grid, OPTS)
