@@ -128,7 +128,12 @@ def _cmd_sweep(cfg: RunConfig, out_dir: Path) -> list[Path]:
 
     if sw.kind == "hierarchy":
         report = protocol_hierarchy(
-            cfg.rates, sw.values, options, delta_p=sw.delta_p, delta_i=sw.delta_i
+            cfg.rates,
+            sw.values,
+            options,
+            delta_p=sw.delta_p,
+            delta_i=sw.delta_i,
+            spin_decay_model=cfg.spin_decay_model,
         )
         csv_path = out_dir / "hierarchy.csv"
         rows = []

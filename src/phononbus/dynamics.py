@@ -21,6 +21,11 @@ Runge-Kutta stepper on the same block serves as the cross-check and would
 extend to smooth schedules. A single excitation never reaches the second
 phonon level, so the truncation n_ph bounds the phonon ladder only for states
 with more than one excitation.
+
+The default route needs numpy only. scipy is imported on first use, and only
+by the adaptive stepper (``scipy.integrate.solve_ivp``) and by the expm
+fallback near exceptional points (``scipy.linalg.expm``), so importing the
+package does not pay for it.
 """
 
 from __future__ import annotations
@@ -30,8 +35,6 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.linalg import expm
 
 from .device import SystemRates
 from .errors import IntegrationError
@@ -322,6 +325,13 @@ def _spectral_form(l_super: np.ndarray):
     return None
 
 
+def expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential, from scipy, which is imported on the first call."""
+    from scipy.linalg import expm as scipy_expm
+
+    return scipy_expm(a)
+
+
 def _adaptive_segment(
     l_super: np.ndarray, v0: np.ndarray, eval_ts: np.ndarray, rel_tol: float
 ) -> np.ndarray:
@@ -331,6 +341,8 @@ def _adaptive_segment(
     error, including the positivity drift of the integrated state, stays
     safely inside the rel_tol agreement documented against the exact route.
     """
+    from scipy.integrate import solve_ivp
+
     sol = solve_ivp(
         lambda _t, y: l_super @ y,
         (0.0, float(eval_ts[-1])),

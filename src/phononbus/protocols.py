@@ -299,16 +299,21 @@ def sweep(
 
 
 def _hierarchy_point(
-    rates_base: SystemRates, q: float, options: SimOptions, delta_p: float, delta_i: float
+    rates_base: SystemRates,
+    q: float,
+    options: SimOptions,
+    delta_p: float,
+    delta_i: float,
+    spin_decay_model: str,
 ) -> tuple[list[float], list[float]]:
     rates_q = replace(rates_base, kappa_p=kappa_from_q(rates_base.f_p, q))
     matched = min(rates_q.g_scp, rates_q.g_pe)
     matched_rates = replace(rates_q, g_scp=matched, g_pe=matched)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TransducerWarning)
-        res1 = run_resonant(matched_rates, options)
-        res2 = run_virtual(matched_rates, delta_p, options)
-        res3 = run_double_rabi(rates_q, delta_i, options)
+        res1 = run_resonant(matched_rates, options, spin_decay_model=spin_decay_model)
+        res2 = run_virtual(matched_rates, delta_p, options, spin_decay_model=spin_decay_model)
+        res3 = run_double_rabi(rates_q, delta_i, options, spin_decay_model=spin_decay_model)
     return [res1.f_e_max, res2.f_e_max, res3.f_e_max], [res1.t_opt, res2.t_opt, res3.t_opt]
 
 
@@ -318,12 +323,14 @@ def protocol_hierarchy(
     options: SimOptions,
     delta_p: float = 30e6,
     delta_i: float = 1e9,
+    spin_decay_model: str = "energy",
 ) -> HierarchyReport:
     """Compare the three protocols across mechanical quality factors.
 
     Per Q the phonon decay is f_p/Q. Protocols 1 and 2 run with the
     couplings matched at min(g_scp, g_pe), the dial-down available by
     weakening the stronger interface; protocol 3 uses the full couplings.
+    Every run uses ``spin_decay_model``, as in the single-protocol runners.
     Crossover Qs are estimated by log-linear interpolation of the fidelity
     curves between adjacent grid points where the ranking changes.
     """
@@ -333,7 +340,9 @@ def protocol_hierarchy(
     if np.any(q_grid <= 0):
         raise ValueError("quality factors must be positive")
 
-    results = [_hierarchy_point(rates_base, q, options, delta_p, delta_i) for q in q_grid]
+    results = [
+        _hierarchy_point(rates_base, q, options, delta_p, delta_i, spin_decay_model) for q in q_grid
+    ]
 
     fidelities = np.array([fs for fs, _ in results]).T          # (3, nq)
     t_opts = np.array([ts for _, ts in results]).T

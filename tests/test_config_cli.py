@@ -3,12 +3,19 @@ import json
 import numpy as np
 import pytest
 
+from phononbus import cli
 from phononbus.cli import main
 from phononbus.config import parse_run_config
 from phononbus.device import PLANCK_H, SystemRates
 from phononbus.dynamics import SimOptions
-from phononbus.errors import ConfigError
-from phononbus.protocols import run_resonant
+from phononbus.errors import (
+    ConfigError,
+    DegenerateConfigurationError,
+    GridMismatchError,
+    IntegrationError,
+    NumericalIntegrityError,
+)
+from phononbus.protocols import protocol_hierarchy, run_resonant
 
 RATES_BLOCK = """
 [rates]
@@ -205,6 +212,22 @@ def test_hierarchy_sweep_csv_has_best_column(tmp_path):
     assert len(summary["best_protocol"]) == 2
 
 
+def test_hierarchy_sweep_honours_spin_decay_model(tmp_path):
+    body = RATES_BLOCK.replace("g_scp_hz = 3e6", "g_scp_hz = 10e6")
+    body += "[sweep]\nkind = hierarchy\nvalues = 1e5\n" + SIM_BLOCK
+    csv = {}
+    for model in ("energy", "dephasing"):
+        cfg_path = write_config(tmp_path, body + f"spin_decay_model = {model}\n", f"{model}.ini")
+        out_dir = tmp_path / model
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(out_dir)]) == 0
+        csv[model] = (out_dir / "hierarchy.csv").read_text().splitlines()
+    assert csv["energy"][1:] != csv["dephasing"][1:]
+    rates = SystemRates(4.31e9, 4.31e9, 4.31e9, 1e5, 43.1e3, 1e6, 10e6, 3e6)
+    report = protocol_hierarchy(rates, [1e5], SimOptions(), spin_decay_model="dephasing")
+    csv_fe = [float(line.split(",")[1]) for line in csv["dephasing"][1:]]
+    assert csv_fe == [float(f) for f in report.fidelities[:, 0]]
+
+
 # ------------------------------------------------------------ spin-field
 
 SPIN_BLOCK = """
@@ -356,3 +379,43 @@ def test_qbudget_invalid_budget_exit_2(tmp_path):
     body = RATES_BLOCK + "[qbudget]\nq_clamp = 1e5\ntls_channels = 0.7:1e5, 0.6:1e5\n"
     cfg_path = write_config(tmp_path, body)
     assert main(["qbudget", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+
+
+# ------------------------------------------------------------ exit codes
+
+QBUDGET = ("qbudget", RATES_BLOCK + "[qbudget]\nq_clamp = 1e5\n")
+ALL_FAILING_SWEEP = ("sweep", RATES_BLOCK + "[sweep]\nkind = delta-p\nvalues = 0.0\n" + SIM_BLOCK)
+
+# (raised by the command handler, or None to run the config as it is; (command, config); exit code)
+EXIT_CODE_ROWS = [
+    (ConfigError("bad key"), QBUDGET, 2),
+    (DegenerateConfigurationError("degenerate spin"), QBUDGET, 2),
+    (ValueError("bad value"), QBUDGET, 2),
+    (IntegrationError("stepper failed"), QBUDGET, 3),
+    (NumericalIntegrityError("trace drifted"), QBUDGET, 3),
+    (GridMismatchError("grids differ", cell_index=0), QBUDGET, 3),
+    (OSError("disk full"), QBUDGET, 4),
+    (None, ALL_FAILING_SWEEP, 5),
+]
+
+
+@pytest.mark.parametrize(
+    "exc, run, code",
+    EXIT_CODE_ROWS,
+    ids=[type(exc).__name__ if exc is not None else "all-points-failed" for exc, _, _ in EXIT_CODE_ROWS],
+)
+def test_exit_code_table(tmp_path, monkeypatch, capsys, exc, run, code):
+    command, body = run
+    if exc is not None:
+        def fail(cfg, out_dir):
+            raise exc
+
+        monkeypatch.setitem(cli._HANDLERS, command, fail)
+    cfg_path = write_config(tmp_path, body)
+    out_dir = tmp_path / "o"
+    assert main([command, "--config", str(cfg_path), "--out", str(out_dir)]) == code
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1
+    if exc is not None:
+        assert errors[0] == f"error: {exc}"
+    assert not (out_dir / "manifest.json").exists()

@@ -1,7 +1,10 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from phononbus.device import SystemRates
+from phononbus.device import SystemRates, kappa_from_q
 from phononbus.dynamics import SimOptions
 from phononbus.errors import TransducerWarning
 from phononbus.protocols import (
@@ -147,6 +150,31 @@ def test_hierarchy_best_is_argmax_and_structure():
     for i in range(len(q_grid)):
         assert rep.best_protocol[i] == int(np.argmax(rep.fidelities[:, i])) + 1
     assert np.all((rep.fidelities >= 0) & (rep.fidelities <= 1 + 1e-9))
+
+
+def test_hierarchy_honours_spin_decay_model():
+    base = rates(g_scp=10e6, lossless=False)
+    q_grid = [1e4, 1e5]
+    delta_p, delta_i = 30e6, 1e9
+    rep = protocol_hierarchy(
+        base, q_grid, OPTS, delta_p=delta_p, delta_i=delta_i, spin_decay_model="dephasing"
+    )
+    for i, q in enumerate(q_grid):
+        rates_q = replace(base, kappa_p=kappa_from_q(base.f_p, q))
+        matched = replace(rates_q, g_scp=rates_q.g_pe)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TransducerWarning)
+            runs = (
+                run_resonant(matched, OPTS, spin_decay_model="dephasing"),
+                run_virtual(matched, delta_p, OPTS, spin_decay_model="dephasing"),
+                run_double_rabi(rates_q, delta_i, OPTS, spin_decay_model="dephasing"),
+            )
+        for k, res in enumerate(runs):
+            assert abs(rep.fidelities[k, i] - res.f_e_max) <= 1e-12
+            assert abs(rep.t_opts[k, i] - res.t_opt) <= 1e-12 * res.t_opt
+
+    energy = protocol_hierarchy(base, q_grid, OPTS, delta_p=delta_p, delta_i=delta_i)
+    assert np.all(np.abs(rep.fidelities - energy.fidelities) > 1e-3)
 
 
 def test_hierarchy_rejects_bad_grid():
