@@ -7,7 +7,7 @@ the output directory, and map failures onto stable exit codes:
     2  configuration problem (also bad physical parameters)
     3  numerical failure (integration, integrity, grid mismatch)
     4  filesystem problem
-    5  sweep where every grid point failed
+    5  sweep or hierarchy where every grid point failed
 
 CSV floats are printed with 17 significant digits in scientific notation, so
 identical configs reproduce byte-identical CSV bodies.
@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +41,7 @@ from .device import (
     spin_coupling_map,
     transmon_frequency,
 )
+from .dynamics import write_csv
 from .errors import (
     ConfigError,
     DegenerateConfigurationError,
@@ -69,17 +70,6 @@ COOPERATIVITY_NOTE = (
     "with the same quoted rates, which gives ~9.3e4 and ~8.4e2; the formula result is "
     "reported unmodified."
 )
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.16e}"
-
-
-def _write_csv(path: Path, header: str, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(x) if isinstance(x, float) else str(x) for x in row) + "\n")
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -121,78 +111,58 @@ def _cmd_simulate(cfg: RunConfig, out_dir: Path) -> list[Path]:
     return [csv_path]
 
 
+def _null_nan(x):
+    """``x`` with every NaN float, at any depth of dicts and lists, replaced by None."""
+    if isinstance(x, dict):
+        return {k: _null_nan(v) for k, v in x.items()}
+    if isinstance(x, list):
+        return [_null_nan(v) for v in x]
+    return None if isinstance(x, float) and math.isnan(x) else x
+
+
 def _cmd_sweep(cfg: RunConfig, out_dir: Path) -> list[Path]:
     cfg.require("rates", "sweep")
     sw = cfg.sweep
-    options = cfg.sim
-
     if sw.kind == "hierarchy":
         report = protocol_hierarchy(
-            cfg.rates,
-            sw.values,
-            options,
-            delta_p=sw.delta_p,
-            delta_i=sw.delta_i,
-            spin_decay_model=cfg.spin_decay_model,
+            cfg.rates, sw.values, cfg.sim, sw.delta_p, sw.delta_i, spin_decay_model=cfg.spin_decay_model
         )
+        points = report.points
         csv_path = out_dir / "hierarchy.csv"
-        rows = []
-        for i, q in enumerate(report.q_grid):
-            for proto in range(3):
-                rows.append(
-                    (
-                        float(q),
-                        float(report.fidelities[proto, i]),
-                        float(report.t_opts[proto, i]),
-                        proto + 1,
-                        int(report.best_protocol[i]),
-                    )
-                )
-        _write_csv(csv_path, "param,f_e_max,t_opt_s,protocol,best_protocol", rows)
+        header = "param,f_e_max,t_opt_s,protocol,best_protocol"
+        # points run Q by Q, protocols 1-3 in turn
+        rows = [
+            (p.param, p.f_e_max, p.t_opt, k % 3 + 1, int(report.best_protocol[k // 3]))
+            for k, p in enumerate(points)
+        ]
         summary = {
-            "kind": "hierarchy",
-            "q_grid": [float(q) for q in report.q_grid],
-            "f_e_max": {f"protocol_{k + 1}": [float(x) for x in report.fidelities[k]] for k in range(3)},
-            "best_protocol": [int(b) for b in report.best_protocol],
+            "q_grid": report.q_grid.tolist(),
+            "f_e_max": {f"protocol_{k + 1}": report.fidelities[k].tolist() for k in range(3)},
+            "best_protocol": report.best_protocol.tolist(),
             "crossovers": [
                 {"q_estimate": c.q_estimate, "from_protocol": c.from_protocol, "to_protocol": c.to_protocol}
                 for c in report.crossovers
             ],
-            "resolved_config": cfg.resolved,
         }
-        json_path = out_dir / "summary.json"
-        _write_json(json_path, summary)
-        return [csv_path, json_path]
+    else:
+        points = sweep(sw.kind, sw.values, cfg.rates, cfg.sim, spin_decay_model=cfg.spin_decay_model)
+        csv_path = out_dir / "sweep.csv"
+        header = "param,f_e_max,t_opt_s,protocol"
+        rows = [(p.param, p.f_e_max, p.t_opt, p.protocol) for p in points]
+        summary = {"points": [
+            dict(param=p.param, f_e_max=p.f_e_max, t_opt_s=p.t_opt, f_e_end=p.f_e_end,
+                 protocol=p.protocol, error=p.error)
+            for p in points
+        ]}
 
-    points = sweep(sw.kind, sw.values, cfg.rates, options, spin_decay_model=cfg.spin_decay_model)
     failed = [p for p in points if p.error is not None]
     for p in failed:
         warnings.warn(f"sweep point {p.param:g} failed: {p.error}", TransducerWarning, stacklevel=2)
     if len(failed) == len(points):
         raise _AllPointsFailed(f"all {len(points)} sweep points failed")
-    csv_path = out_dir / "sweep.csv"
-    _write_csv(
-        csv_path,
-        "param,f_e_max,t_opt_s,protocol",
-        [(p.param, p.f_e_max, p.t_opt, p.protocol) for p in points],
-    )
-    summary = {
-        "kind": sw.kind,
-        "points": [
-            {
-                "param": p.param,
-                "f_e_max": None if np.isnan(p.f_e_max) else p.f_e_max,
-                "t_opt_s": None if np.isnan(p.t_opt) else p.t_opt,
-                "f_e_end": None if np.isnan(p.f_e_end) else p.f_e_end,
-                "protocol": p.protocol,
-                "error": p.error,
-            }
-            for p in points
-        ],
-        "resolved_config": cfg.resolved,
-    }
+    write_csv(csv_path, header, rows)
     json_path = out_dir / "summary.json"
-    _write_json(json_path, summary)
+    _write_json(json_path, {**_null_nan(summary), "kind": sw.kind, "resolved_config": cfg.resolved})
     return [csv_path, json_path]
 
 
@@ -230,7 +200,7 @@ def _cmd_spin_field(cfg: RunConfig, out_dir: Path) -> list[Path]:
             )
         )
     csv_path = out_dir / "spin_field.csv"
-    _write_csv(csv_path, "B_mag_T,B_x_T,B_z_T,nu1_Hz,nu3_Hz,splitting_Hz,g_pe_Hz", rows)
+    write_csv(csv_path, "B_mag_T,B_x_T,B_z_T,nu1_Hz,nu3_Hz,splitting_Hz,g_pe_Hz", rows)
     return [csv_path]
 
 

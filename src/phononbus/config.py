@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import configparser
 import json
+import math
 import os
 import tempfile
 import time
@@ -135,9 +136,12 @@ class RunConfig:
 
 def _parse_float(section: str, key: str, value: str) -> float:
     try:
-        return float(value)
+        number = float(value)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key}: '{value}' is not a number") from exc
+    if not math.isfinite(number):
+        raise ConfigError(f"[{section}] {key}: '{value}' is not a finite number")
+    return number
 
 
 def _parse_float_list(section: str, key: str, value: str) -> tuple[float, ...]:

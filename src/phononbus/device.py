@@ -170,10 +170,10 @@ class SystemRates:
 
     def __post_init__(self):
         for name in ("f_sc", "f_p", "f_e"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         for name in ("kappa_sc", "kappa_p", "kappa_e", "g_scp", "g_pe"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be nonnegative")
 
 
@@ -342,7 +342,7 @@ def q_total(budget: QBudget) -> float:
 
 def kappa_from_q(f_p: float, q: float) -> float:
     """Phonon decay rate (ordinary Hz) f_p / Q."""
-    if q <= 0:
+    if not q > 0:
         raise ValueError("Q must be positive")
     return f_p / q
 

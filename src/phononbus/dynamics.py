@@ -203,17 +203,26 @@ class Trajectory:
         return float(self.min_eigenvalues.min())
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            self.write_csv(fh)
+        columns = (
+            self.times, self.p_sc, self.p_p, self.p_e,
+            self.f_sc, self.f_p, self.f_e, self.trace_errs,
+        )
+        write_csv(path, TRAJECTORY_CSV_HEADER, np.column_stack(columns).tolist())
 
-    def write_csv(self, fh) -> None:
-        fh.write(TRAJECTORY_CSV_HEADER + "\n")
-        for k in range(self.times.size):
-            row = (
-                self.times[k], self.p_sc[k], self.p_p[k], self.p_e[k],
-                self.f_sc[k], self.f_p[k], self.f_e[k], self.trace_errs[k],
-            )
-            fh.write(",".join(f"{x:.16e}" for x in row) + "\n")
+
+def write_csv(path, header: str, rows) -> None:
+    """Write ``header`` and one line per row: floats as %.16e, the rest as str().
+
+    Seventeen significant digits round-trip a double, so equal values give equal bytes.
+    """
+    templates: dict[tuple, str] = {}
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            kinds = tuple(map(type, row))
+            if kinds not in templates:
+                templates[kinds] = ",".join("%.16e" if issubclass(k, float) else "%s" for k in kinds) + "\n"
+            fh.write(templates[kinds] % tuple(row))
 
 
 def tripartite_operators(layout: SpaceLayout) -> dict[str, np.ndarray]:

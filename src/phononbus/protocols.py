@@ -85,6 +85,8 @@ class ProtocolResult:
 
 @dataclass(frozen=True)
 class SweepPoint:
+    """One protocol run at one grid value; a failed run has NaN figures and its error."""
+
     param: float
     f_e_max: float
     t_opt: float
@@ -104,8 +106,10 @@ class Crossover:
 class HierarchyReport:
     """Per-Q fidelities of the three protocols and the resulting ranking.
 
-    fidelities has shape (3, len(q_grid)), row k for protocol k+1.
-    best_protocol holds 1-based indices; ties break toward the lower index.
+    fidelities has shape (3, len(q_grid)), row k for protocol k+1, NaN where
+    a run failed. best_protocol holds 1-based indices; ties break toward the
+    lower index, and 0 marks a Q where every run failed. points holds the
+    grid points Q by Q, protocols 1-3 in turn, each with its error if any.
     """
 
     q_grid: np.ndarray
@@ -113,6 +117,7 @@ class HierarchyReport:
     t_opts: np.ndarray
     best_protocol: np.ndarray
     crossovers: tuple[Crossover, ...]
+    points: tuple[SweepPoint, ...]
 
 
 def _golden_section(f_at, fe: np.ndarray, ts: np.ndarray, k: int) -> tuple[float, float]:
@@ -260,22 +265,32 @@ def run_double_rabi(
     return _run_schedule(spec, schedule, options, spin_decay_model)
 
 
-def _sweep_point(
-    kind: str, value: float, rates: SystemRates, options: SimOptions, spin_decay_model: str
+def _grid_point(
+    protocol: str,
+    param: float,
+    rates: SystemRates,
+    changes: dict,
+    control: float | None,
+    options: SimOptions,
+    spin_decay_model: str,
 ) -> SweepPoint:
+    """Run ``protocol`` (with its delta_p or delta_i ``control``) on ``rates`` updated by ``changes``.
+
+    A TransducerError or ValueError is recorded on the point, with NaN figures, not raised.
+    """
     try:
-        if kind == "delta-g":
-            point_rates = replace(rates, g_scp=rates.g_pe + value)
+        point_rates = replace(rates, **changes)
+        if protocol == RESONANT:
             res = run_resonant(point_rates, options, spin_decay_model=spin_decay_model)
-        elif kind == "delta-p":
-            res = run_virtual(rates, value, options, spin_decay_model=spin_decay_model)
-        elif kind == "delta-i":
-            res = run_double_rabi(rates, value, options, spin_decay_model=spin_decay_model)
+        elif protocol == VIRTUAL_PHONON:
+            res = run_virtual(point_rates, control, options, spin_decay_model=spin_decay_model)
+        elif protocol == DOUBLE_RABI:
+            res = run_double_rabi(point_rates, control, options, spin_decay_model=spin_decay_model)
         else:
-            raise ValueError(f"unknown sweep kind '{kind}'")
-        return SweepPoint(value, res.f_e_max, res.t_opt, res.spec_echo.kind, res.f_e_end)
+            raise ValueError(f"unknown sweep kind '{protocol}'")
     except (TransducerError, ValueError) as exc:
-        return SweepPoint(value, float("nan"), float("nan"), kind, error=str(exc))
+        return SweepPoint(param, math.nan, math.nan, protocol, error=str(exc))
+    return SweepPoint(param, res.f_e_max, res.t_opt, protocol, res.f_e_end)
 
 
 def sweep(
@@ -289,32 +304,16 @@ def sweep(
 
     delta-g sweeps the coupling mismatch g_scp = g_pe + delta_g of the
     resonant protocol; delta-p the virtual-phonon detuning; delta-i the
-    double-rabi idle detuning. Failing points are recorded and skipped, not
-    fatal.
+    double-rabi idle detuning. A failing point, or every point of an unknown
+    kind, is recorded with NaN figures and its error, not raised; it names
+    the protocol it ran (or the unknown kind).
     """
-    values = list(values)
+    values = [float(v) for v in values]
     if not values:
         raise ValueError("sweep grid is empty")
-    return [_sweep_point(kind, float(v), rates, options, spin_decay_model) for v in values]
-
-
-def _hierarchy_point(
-    rates_base: SystemRates,
-    q: float,
-    options: SimOptions,
-    delta_p: float,
-    delta_i: float,
-    spin_decay_model: str,
-) -> tuple[list[float], list[float]]:
-    rates_q = replace(rates_base, kappa_p=kappa_from_q(rates_base.f_p, q))
-    matched = min(rates_q.g_scp, rates_q.g_pe)
-    matched_rates = replace(rates_q, g_scp=matched, g_pe=matched)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TransducerWarning)
-        res1 = run_resonant(matched_rates, options, spin_decay_model=spin_decay_model)
-        res2 = run_virtual(matched_rates, delta_p, options, spin_decay_model=spin_decay_model)
-        res3 = run_double_rabi(rates_q, delta_i, options, spin_decay_model=spin_decay_model)
-    return [res1.f_e_max, res2.f_e_max, res3.f_e_max], [res1.t_opt, res2.t_opt, res3.t_opt]
+    protocol = {"delta-g": RESONANT, "delta-p": VIRTUAL_PHONON, "delta-i": DOUBLE_RABI}.get(kind, kind)
+    changes = [{"g_scp": rates.g_pe + v} if kind == "delta-g" else {} for v in values]
+    return [_grid_point(protocol, v, rates, c, v, options, spin_decay_model) for v, c in zip(values, changes)]
 
 
 def protocol_hierarchy(
@@ -331,27 +330,42 @@ def protocol_hierarchy(
     couplings matched at min(g_scp, g_pe), the dial-down available by
     weakening the stronger interface; protocol 3 uses the full couplings.
     Every run uses ``spin_decay_model``, as in the single-protocol runners.
-    Crossover Qs are estimated by log-linear interpolation of the fidelity
-    curves between adjacent grid points where the ranking changes.
+    Each (Q, protocol) run is one grid point, failing as a sweep point does:
+    its fidelity and time read NaN, it never ranks best (best_protocol is 0
+    at a Q where all three fail) and it enters no crossover. Crossover Qs are
+    estimated by log-linear interpolation of the fidelity curves between
+    adjacent grid points where the ranking changes.
     """
     q_grid = np.asarray([float(q) for q in q_grid])
     if q_grid.size == 0:
         raise ValueError("hierarchy grid is empty")
-    if np.any(q_grid <= 0):
+    if not np.all(q_grid > 0):
         raise ValueError("quality factors must be positive")
 
-    results = [
-        _hierarchy_point(rates_base, q, options, delta_p, delta_i, spin_decay_model) for q in q_grid
-    ]
+    g = min(rates_base.g_scp, rates_base.g_pe)
+    points = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TransducerWarning)
+        for q in q_grid.tolist():
+            kappa_p = kappa_from_q(rates_base.f_p, q)
+            matched = {"kappa_p": kappa_p, "g_scp": g, "g_pe": g}
+            points += [
+                _grid_point(RESONANT, q, rates_base, matched, None, options, spin_decay_model),
+                _grid_point(VIRTUAL_PHONON, q, rates_base, matched, delta_p, options, spin_decay_model),
+                _grid_point(DOUBLE_RABI, q, rates_base, {"kappa_p": kappa_p}, delta_i, options, spin_decay_model),
+            ]
 
-    fidelities = np.array([fs for fs, _ in results]).T          # (3, nq)
-    t_opts = np.array([ts for _, ts in results]).T
-    best = np.argmax(fidelities, axis=0) + 1                    # argmax takes lowest index on ties
+    fidelities = np.array([p.f_e_max for p in points]).reshape(-1, 3).T   # (3, nq)
+    t_opts = np.array([p.t_opt for p in points]).reshape(-1, 3).T
+    failed = np.isnan(fidelities)
+    # argmax takes the lowest index on ties; a failed run never ranks
+    best = np.argmax(np.where(failed, -np.inf, fidelities), axis=0) + 1
+    best[failed.all(axis=0)] = 0
 
     crossovers = []
     for i in range(q_grid.size - 1):
         a, b = int(best[i]), int(best[i + 1])
-        if a == b:
+        if a == b or 0 in (a, b) or failed[b - 1, i] or failed[a - 1, i + 1]:
             continue
         fa = fidelities[a - 1]
         fb = fidelities[b - 1]
@@ -362,4 +376,4 @@ def protocol_hierarchy(
         logq = math.log10(q_grid[i]) + t * (math.log10(q_grid[i + 1]) - math.log10(q_grid[i]))
         crossovers.append(Crossover(10.0**logq, a, b))
 
-    return HierarchyReport(q_grid, fidelities, t_opts, best, tuple(crossovers))
+    return HierarchyReport(q_grid, fidelities, t_opts, best, tuple(crossovers), tuple(points))

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from phononbus import cli
+from phononbus import cli, protocols
 from phononbus.cli import main
 from phononbus.config import parse_run_config
 from phononbus.device import PLANCK_H, SystemRates
@@ -190,6 +190,59 @@ def test_sweep_partial_failure_annotated_exit_0(tmp_path):
     assert summary["points"][1]["error"] is None
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert any("failed" in w for w in manifest["warnings"])
+    # the failed row names the protocol it ran, not the sweep kind
+    rows = [line.split(",") for line in (out_dir / "sweep.csv").read_text().splitlines()[1:]]
+    assert rows[0][1:] == ["nan", "nan", "virtual-phonon"]
+    assert [p["protocol"] for p in summary["points"]] == ["virtual-phonon", "virtual-phonon"]
+    assert summary["points"][0]["f_e_max"] is None
+
+
+def _reject_constant(name):
+    raise ValueError(f"summary.json holds a bare {name}")
+
+
+def test_hierarchy_records_a_failed_run_and_keeps_going(tmp_path, monkeypatch):
+    q_fail = 2.15e4
+    real = protocols.run_resonant
+
+    def flaky(rates, *args, **kwargs):
+        if rates.kappa_p == rates.f_p / q_fail:
+            raise IntegrationError("stepper gave up")
+        return real(rates, *args, **kwargs)
+
+    monkeypatch.setattr(protocols, "run_resonant", flaky)
+    body = RATES_BLOCK.replace("g_scp_hz = 3e6", "g_scp_hz = 10e6")
+    body += "[sweep]\nkind = hierarchy\nvalues = 1e4, 2.15e4, 4.64e4\n" + SIM_BLOCK
+    out_dir = tmp_path / "h"
+    assert main(["sweep", "--config", str(write_config(tmp_path, body)), "--out", str(out_dir)]) == 0
+    rows = [line.split(",") for line in (out_dir / "hierarchy.csv").read_text().splitlines()[1:]]
+    assert [(float(r[0]), int(r[3])) for r in rows] == [(q, k) for q in (1e4, 2.15e4, 4.64e4) for k in (1, 2, 3)]
+    failed = [r for r in rows if "nan" in r]
+    assert failed == [["2.1500000000000000e+04", "nan", "nan", "1", "3"]]
+    # protocol 1 leads at 1e4 and 3 beyond; the only ranking change runs through the failed run
+    assert [int(r[4]) for r in rows[::3]] == [1, 3, 3]
+    summary = json.loads((out_dir / "summary.json").read_text(), parse_constant=_reject_constant)
+    assert summary["f_e_max"]["protocol_1"][1] is None
+    assert summary["best_protocol"] == [1, 3, 3]
+    assert summary["crossovers"] == []
+    # one warning, naming the Q; a numpy RuntimeWarning would show up here as well
+    warnings = json.loads((out_dir / "manifest.json").read_text())["warnings"]
+    assert warnings == ["sweep point 21500 failed: stepper gave up"]
+
+
+@pytest.mark.parametrize("body", [
+    RATES_BLOCK.replace("kappa_p_hz = 43.1e3", "kappa_p_hz = nan") + "[protocol]\nkind = resonant\n",
+    RATES_BLOCK + "[sweep]\nkind = hierarchy\nvalues = 1e4, nan\n" + SIM_BLOCK,
+    RATES_BLOCK + "[sweep]\nkind = delta-i\nvalues = 1e9, inf\n" + SIM_BLOCK,
+], ids=["nan-rate", "nan-quality-factor", "inf-sweep-value"])
+def test_non_finite_numbers_exit_2(tmp_path, capsys, body):
+    command = "simulate" if "[protocol]" in body else "sweep"
+    out_dir = tmp_path / "o"
+    assert main([command, "--config", str(write_config(tmp_path, body)), "--out", str(out_dir)]) == 2
+    error = capsys.readouterr().err.strip().splitlines()[-1]
+    assert error.startswith("error: [") and "is not a finite number" in error
+    assert ("kappa_p_hz" in error) if command == "simulate" else ("[sweep] values" in error)
+    assert not (out_dir / "manifest.json").exists()
 
 
 def test_sweep_empty_grid_exit_2(tmp_path):
@@ -385,6 +438,10 @@ def test_qbudget_invalid_budget_exit_2(tmp_path):
 
 QBUDGET = ("qbudget", RATES_BLOCK + "[qbudget]\nq_clamp = 1e5\n")
 ALL_FAILING_SWEEP = ("sweep", RATES_BLOCK + "[sweep]\nkind = delta-p\nvalues = 0.0\n" + SIM_BLOCK)
+ALL_FAILING_HIERARCHY = (
+    "sweep",
+    RATES_BLOCK.replace("g_pe_hz = 3e6", "g_pe_hz = 0") + "[sweep]\nkind = hierarchy\nvalues = 1e4, 1e5\n" + SIM_BLOCK,
+)
 
 # (raised by the command handler, or None to run the config as it is; (command, config); exit code)
 EXIT_CODE_ROWS = [
@@ -396,13 +453,19 @@ EXIT_CODE_ROWS = [
     (GridMismatchError("grids differ", cell_index=0), QBUDGET, 3),
     (OSError("disk full"), QBUDGET, 4),
     (None, ALL_FAILING_SWEEP, 5),
+    (None, ALL_FAILING_HIERARCHY, 5),
+]
+EXIT_CODE_IDS = [
+    type(exc).__name__ if exc is not None
+    else "all-points-failed" if run is ALL_FAILING_SWEEP else "all-hierarchy-points-failed"
+    for exc, run, _ in EXIT_CODE_ROWS
 ]
 
 
 @pytest.mark.parametrize(
     "exc, run, code",
     EXIT_CODE_ROWS,
-    ids=[type(exc).__name__ if exc is not None else "all-points-failed" for exc, _, _ in EXIT_CODE_ROWS],
+    ids=EXIT_CODE_IDS,
 )
 def test_exit_code_table(tmp_path, monkeypatch, capsys, exc, run, code):
     command, body = run

@@ -17,6 +17,7 @@ from phononbus.dynamics import (
     propagate_segment,
     sample_times,
     tripartite_operators,
+    write_csv,
 )
 from phononbus.qops import DensityMatrix, SpaceLayout, basis_ket
 
@@ -239,6 +240,16 @@ def test_trajectory_csv_format(tmp_path):
     first = lines[1].split(",")
     assert len(first) == 8
     assert float(first[1]) == traj.p_sc[0]
+
+
+def test_csv_writer_formats_floats_and_keeps_str_for_the_rest(tmp_path):
+    path = tmp_path / "rows.csv"
+    write_csv(path, "a,b,c,d", [(0.1, np.float64(-2.5e-300), 3, "x"), (float("nan"), -0.0, np.int64(7), None)])
+    assert path.read_bytes() == (
+        b"a,b,c,d\n"
+        b"1.0000000000000001e-01,-2.5000000000000000e-300,3,x\n"
+        b"nan,-0.0000000000000000e+00,7,None\n"
+    )
 
 
 def test_evolve_rejects_layout_mismatch():

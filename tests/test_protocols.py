@@ -1,12 +1,14 @@
 import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from phononbus import protocols
 from phononbus.device import SystemRates, kappa_from_q
 from phononbus.dynamics import SimOptions
-from phononbus.errors import TransducerWarning
+from phononbus.errors import IntegrationError, TransducerWarning
 from phononbus.protocols import (
     HierarchyReport,
     ProtocolSpec,
@@ -133,6 +135,71 @@ def test_sweep_records_per_point_failures():
     pts = sweep("delta-p", [0.0, 30e6], rates(), OPTS)
     assert pts[0].error is not None and np.isnan(pts[0].f_e_max)
     assert pts[1].error is None and pts[1].f_e_max > 0.99
+    # a failed point names the protocol it ran, not the sweep kind
+    assert [p.protocol for p in pts] == ["virtual-phonon"] * 2
+    bad_g = sweep("delta-g", [-1e9], rates(), OPTS)[0]
+    assert bad_g.protocol == "resonant" and "g_scp" in bad_g.error
+
+
+def test_grid_runs_use_the_runners_looked_up_at_call_time(monkeypatch):
+    calls = []
+    real = protocols.run_virtual
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(protocols, "run_virtual", counting)
+    sweep("delta-p", [30e6, 40e6], rates(), OPTS)
+    protocol_hierarchy(rates(g_scp=10e6, lossless=False), [1e4, 1e5], OPTS, delta_p=25e6)
+    assert calls == [30e6, 40e6, 25e6, 25e6]
+
+
+def _fake_hierarchy(monkeypatch, grid, curves):
+    """Runners that return curves[kind][index of Q] as f_e_max; None raises IntegrationError."""
+
+    def runner(kind):
+        def run(rates_q, *args, **kwargs):
+            f = curves[kind][[kappa_from_q(rates_q.f_p, q) for q in grid].index(rates_q.kappa_p)]
+            if f is None:
+                raise IntegrationError(f"{kind} failed")
+            return SimpleNamespace(f_e_max=f, t_opt=1e-7, f_e_end=f)
+        return run
+
+    for name, kind in (("run_resonant", "resonant"), ("run_virtual", "virtual-phonon"),
+                       ("run_double_rabi", "double-rabi")):
+        monkeypatch.setattr(protocols, name, runner(kind))
+
+
+def test_hierarchy_failed_runs_never_rank_and_enter_no_crossover(monkeypatch):
+    grid = [1e3, 1e4, 1e5, 1e6]
+    _fake_hierarchy(monkeypatch, grid, {
+        "resonant": [0.5, None, None, 0.1],
+        "virtual-phonon": [0.1, 0.1, None, 0.2],
+        "double-rabi": [0.2, 0.3, None, 0.6],
+    })
+    rep = protocol_hierarchy(rates(lossless=False), grid, OPTS)
+    assert [(p.param, p.protocol) for p in rep.points if p.error] == [
+        (1e4, "resonant"), (1e5, "resonant"), (1e5, "virtual-phonon"), (1e5, "double-rabi")
+    ]
+    assert np.isnan(rep.fidelities[0, 1]) and np.isnan(rep.t_opts[0, 1])
+    assert rep.best_protocol.tolist() == [1, 3, 0, 3]
+    # 1 -> 3 between 1e3 and 1e4 would interpolate through the failed resonant run
+    assert rep.crossovers == ()
+
+
+def test_hierarchy_crossover_next_to_a_failed_run(monkeypatch):
+    grid = [1e3, 1e4, 1e6]
+    _fake_hierarchy(monkeypatch, grid, {
+        "resonant": [0.5, 0.4, None],
+        "virtual-phonon": [0.1, 0.1, 0.1],
+        "double-rabi": [0.2, 0.45, 0.6],
+    })
+    rep = protocol_hierarchy(rates(lossless=False), grid, OPTS)
+    assert rep.best_protocol.tolist() == [1, 3, 3]
+    (c,) = rep.crossovers
+    assert (c.from_protocol, c.to_protocol) == (1, 3)
+    assert c.q_estimate == pytest.approx(10 ** (3 + 0.3 / 0.35), rel=1e-12)
 
 
 def test_sweep_rejects_empty_grid_and_bad_kind():
@@ -182,6 +249,17 @@ def test_hierarchy_rejects_bad_grid():
         protocol_hierarchy(rates(), [], OPTS)
     with pytest.raises(ValueError):
         protocol_hierarchy(rates(), [1e3, -1.0], OPTS)
+    with pytest.raises(ValueError, match="quality factors must be positive"):
+        protocol_hierarchy(rates(), [1e4, float("nan")], OPTS)
+
+
+def test_nan_rate_and_quality_factor_are_rejected():
+    with pytest.raises(ValueError, match="kappa_p must be nonnegative"):
+        replace(rates(), kappa_p=float("nan"))
+    with pytest.raises(ValueError, match="f_p must be positive"):
+        replace(rates(), f_p=float("nan"))
+    with pytest.raises(ValueError):
+        kappa_from_q(4.31e9, float("nan"))
 
 
 def test_virtual_horizon_retry_extends_until_peak_interior():
