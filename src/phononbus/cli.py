@@ -316,10 +316,13 @@ def main(argv=None) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            outputs = _HANDLERS[args.command](cfg, out_dir)
-            messages = [str(w.message) for w in caught]
-        for msg in messages:
-            print(f"warning: {msg}", file=sys.stderr)
+            try:
+                outputs = _HANDLERS[args.command](cfg, out_dir)
+            finally:
+                # on a failing command too, so its error line follows the warnings that explain it
+                messages = [str(w.message) for w in caught]
+                for msg in messages:
+                    print(f"warning: {msg}", file=sys.stderr)
         manifest = RunManifest(
             command=args.command,
             artifact_version=__version__,

@@ -234,7 +234,10 @@ def parse_run_config(path) -> RunConfig:
         if (v := get("sim", "rel_tol")) is not None:
             sim_kwargs["rel_tol"] = _parse_float("sim", "rel_tol", v)
         if (v := get("sim", "n_ph")) is not None:
-            sim_kwargs["n_ph"] = int(_parse_float("sim", "n_ph", v))
+            n_ph = _parse_float("sim", "n_ph", v)
+            if not n_ph.is_integer():
+                raise ConfigError(f"[sim] n_ph: '{v}' is not an integer")
+            sim_kwargs["n_ph"] = int(n_ph)
         if (v := get("sim", "sample_dt_s")) is not None:
             sim_kwargs["sample_dt"] = _parse_float("sim", "sample_dt_s", v)
         if (v := get("sim", "spin_decay_model")) is not None:

@@ -307,17 +307,26 @@ class SpinCouplingMap:
 def spin_coupling_map(
     t_profile: FieldProfile, chi_eff: float, emitter_rotation: np.ndarray
 ) -> SpinCouplingMap:
-    """g_pe(r) = chi_eff (e'_xx - e'_yy) with strain rotated into the emitter frame."""
+    """g_pe(r) = chi_eff (e'_xx - e'_yy) with strain rotated into the emitter frame.
+
+    e'_xx - e'_yy = sum_ij (R_0i R_0j - R_1i R_1j) eps_ij is linear in the
+    Voigt vector, so the whole map is one product with a weight 6-vector w.
+    Engineering shear s4 = 2 eps_yz enters through eps_yz + eps_zy, hence
+    w_4 = R_01 R_02 - R_11 R_12, and likewise w_5 (zx) and w_6 (xy).
+    The normal weights w_1..w_3 = R_0i^2 - R_1i^2 sum to |R_0|^2 - |R_1|^2,
+    zero for an orthogonal R; they are centred so that sum holds exactly and
+    hydrostatic strain maps to zero, not to the rounding of the rotation.
+    """
     r = np.asarray(emitter_rotation, dtype=float)
     if r.shape != (3, 3):
         raise ValueError(f"emitter rotation must be 3x3, got {r.shape}")
     if np.abs(r @ r.T - np.eye(3)).max() > 1e-10:
         raise ValueError("emitter rotation matrix is not orthogonal")
-    raw = np.empty(t_profile.n_cells, dtype=complex)
-    for k in range(t_profile.n_cells):
-        eps = voigt_to_tensor(t_profile.strain_voigt[k])
-        eps_e = r @ eps @ r.T
-        raw[k] = chi_eff * (eps_e[0, 0] - eps_e[1, 1])
+    a, b = r[0], r[1]
+    normal = a * a - b * b
+    i, j = [1, 2, 0], [2, 0, 1]    # the (yz, zx, xy) index pairs
+    w = np.concatenate([normal - normal.sum() / 3.0, a[i] * a[j] - b[i] * b[j]])
+    raw = chi_eff * (t_profile.strain_voigt @ w)
     imag_max = float(np.abs(raw.imag).max())
     scale = float(np.abs(raw).max())
     if scale > 0.0 and imag_max > 1e-9 * scale:
@@ -380,37 +389,41 @@ def write_field_profile(profile: FieldProfile, path) -> None:
     ]
     if float(np.abs(profile.strain_voigt.imag).max()) > 0.0:
         raise ValueError("the v1 profile format stores real strain channels only")
-    for k in range(profile.n_cells):
-        e = profile.e_field[k]
-        row = [
-            *profile.positions[k],
-            profile.volumes[k],
-            e[0].real, e[0].imag, e[1].real, e[1].imag, e[2].real, e[2].imag,
-            *profile.strain_voigt[k].real,
-            profile.compliance_weight[k],
-            profile.permittivity[k],
-        ]
-        lines.append(" ".join(f"{x:.17e}" for x in row))
+    e = profile.e_field
+    cells = np.column_stack([
+        profile.positions,
+        profile.volumes,
+        np.stack([e.real, e.imag], axis=-1).reshape(-1, 6),    # ex_re ex_im ey_re ...
+        profile.strain_voigt.real,
+        profile.compliance_weight,
+        profile.permittivity,
+    ])
+    row = " ".join(["%.17e"] * FIELD_PROFILE_COLUMNS)
+    lines += [row % tuple(cell) for cell in cells.tolist()]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def read_field_profile(path) -> FieldProfile:
-    """Parse the v1 field-profile format; unknown header keys are rejected."""
-    path = Path(path)
-    header: dict[str, str] = {}
+def _parse_cells(path: Path, lines: list[str], start: int) -> np.ndarray:
+    """The (N, 18) cell block ``lines[start:]``; line numbers in errors count from 1.
+
+    np.loadtxt reads the block in one pass. The tokens it accepts are a
+    subset of those float() accepts, read to the same values, so a block it
+    rejects (or reads with another column count) is reread line by line with
+    float(): that loop names the first bad line, or reads the spellings only
+    float() takes, such as ``1_0`` and non-ASCII digits.
+    """
+    if start == len(lines):
+        return np.empty((0, FIELD_PROFILE_COLUMNS))
+    try:
+        data = np.loadtxt(lines[start:], comments="#", ndmin=2)
+    except ValueError:
+        data = None
+    if data is not None and data.shape[1] == FIELD_PROFILE_COLUMNS:
+        return data
     rows: list[list[float]] = []
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(lines[start:], start=start + 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
-            continue
-        if "=" in line and not rows and len(header) < len(FIELD_PROFILE_HEADER_KEYS):
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in FIELD_PROFILE_HEADER_KEYS:
-                raise ConfigError(f"{path}:{lineno}: unknown field-profile header '{key}'")
-            if key in header:
-                raise ConfigError(f"{path}:{lineno}: duplicate header '{key}'")
-            header[key] = value.strip()
             continue
         parts = line.split()
         if len(parts) != FIELD_PROFILE_COLUMNS:
@@ -421,6 +434,36 @@ def read_field_profile(path) -> FieldProfile:
             rows.append([float(x) for x in parts])
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: non-numeric cell data") from exc
+    return np.asarray(rows, dtype=float)
+
+
+def read_field_profile(path) -> FieldProfile:
+    """Parse the v1 field-profile format; unknown header keys are rejected.
+
+    Header lines run up to the first line that is not ``key = value`` or
+    that follows the last header key; every later line with text outside a
+    ``#`` comment is a cell row.
+    Cell errors are reported before header errors.
+    """
+    path = Path(path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    header: dict[str, str] = {}
+    start = len(lines)
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line or len(header) == len(FIELD_PROFILE_HEADER_KEYS):
+            start = lineno - 1
+            break
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key not in FIELD_PROFILE_HEADER_KEYS:
+            raise ConfigError(f"{path}:{lineno}: unknown field-profile header '{key}'")
+        if key in header:
+            raise ConfigError(f"{path}:{lineno}: duplicate header '{key}'")
+        header[key] = value.strip()
+    data = _parse_cells(path, lines, start)
 
     missing = [k for k in FIELD_PROFILE_HEADER_KEYS if k not in header]
     if missing:
@@ -432,9 +475,8 @@ def read_field_profile(path) -> FieldProfile:
             f"{path}: voigt_convention must be 'engineering', got '{header['voigt_convention']}'"
         )
     n = int(header["cell_count"])
-    if len(rows) != n:
-        raise ConfigError(f"{path}: header says {n} cells, file has {len(rows)}")
-    data = np.asarray(rows, dtype=float)
+    if len(data) != n:
+        raise ConfigError(f"{path}: header says {n} cells, file has {len(data)}")
     e_field = data[:, 4:10:2] + 1j * data[:, 5:11:2]
     return FieldProfile(
         positions=data[:, 0:3],

@@ -62,6 +62,10 @@ class ProtocolSpec:
     def __post_init__(self):
         if self.kind not in (RESONANT, VIRTUAL_PHONON, DOUBLE_RABI):
             raise ValueError(f"unknown protocol kind '{self.kind}'")
+        for name in ("delta_p", "delta_i", "horizon"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.kind == VIRTUAL_PHONON:
             if self.delta_p is None or self.delta_p == 0.0:
                 raise ValueError("virtual-phonon protocol needs a nonzero delta_p")

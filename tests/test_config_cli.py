@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from phononbus.errors import (
     NumericalIntegrityError,
 )
 from phononbus.protocols import protocol_hierarchy, run_resonant
+
+REPO_CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 RATES_BLOCK = """
 [rates]
@@ -73,6 +76,18 @@ def test_parse_rejects_missing_referenced_file(tmp_path):
     with pytest.raises(ConfigError) as err:
         parse_run_config(write_config(tmp_path, body))
     assert "e_profile_path" in str(err.value)
+
+
+@pytest.mark.parametrize("value, n_ph", [("3", 3), ("3.0", 3), ("3.7", None), ("2.5e0", None)])
+def test_parse_n_ph_must_be_integral(tmp_path, value, n_ph):
+    body = RATES_BLOCK + "[protocol]\nkind = resonant\n" + SIM_BLOCK.replace("n_ph = 3", f"n_ph = {value}")
+    path = write_config(tmp_path, body)
+    if n_ph is not None:
+        assert parse_run_config(path).sim.n_ph == n_ph
+        return
+    with pytest.raises(ConfigError, match=rf"\[sim\] n_ph: '{value}' is not an integer"):
+        parse_run_config(path)
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
 
 
 def test_parse_resolves_paths_relative_to_config(tmp_path):
@@ -178,6 +193,24 @@ def test_sweep_exit_5_when_all_points_fail(tmp_path):
     body = RATES_BLOCK + "[sweep]\nkind = delta-p\nvalues = 0.0\n" + SIM_BLOCK
     cfg_path = write_config(tmp_path, body)
     assert main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 5
+
+
+def test_all_failing_hierarchy_names_each_reason_before_the_error(tmp_path, capsys):
+    body = (REPO_CONFIGS / "hierarchy.ini").read_text().replace("g_pe_hz = 3e6", "g_pe_hz = 0")
+    assert "g_pe_hz = 0" in body
+    out_dir = tmp_path / "o"
+    assert main(["sweep", "--config", str(write_config(tmp_path, body)), "--out", str(out_dir)]) == 5
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[-1] == "error: all 39 sweep points failed"
+    warned = lines[:-1]
+    assert len(warned) == 39 and all(line.startswith("warning: sweep point ") for line in warned)
+    reasons = [line.split(" failed: ", 1)[1] for line in warned]
+    assert reasons == [
+        "resonant protocol needs both couplings positive",
+        "virtual-phonon protocol needs both couplings positive",
+        "double-rabi protocol needs both couplings positive",
+    ] * 13
+    assert not (out_dir / "manifest.json").exists()
 
 
 def test_sweep_partial_failure_annotated_exit_0(tmp_path):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -289,6 +291,57 @@ def test_spin_map_rejects_complex_result():
         spin_coupling_map(prof, 1.0, np.eye(3))
 
 
+def rotated_difference(voigt, rotation):
+    """e'_xx - e'_yy per cell through the full tensor rotation R eps R^T."""
+    out = []
+    for v in voigt:
+        eps_e = rotation @ voigt_to_tensor(v) @ rotation.T
+        out.append(eps_e[0, 0] - eps_e[1, 1])
+    return np.array(out)
+
+
+def random_rotations(rng, count):
+    for k in range(count):
+        q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        if k == 0:
+            q = q * np.sign(np.linalg.det(q))     # proper
+        if k == 1:
+            q = -q * np.sign(np.linalg.det(q))    # improper
+        yield q
+
+
+def test_spin_map_matches_tensor_rotation():
+    rng = np.random.default_rng(18)
+    prof = seeded_profile(300, 19)
+    chi = 0.27e15
+    dets = []
+    for rot in random_rotations(rng, 20):
+        dets.append(round(np.linalg.det(rot)))
+        ref = chi * rotated_difference(prof.strain_voigt, rot).real
+        out = spin_coupling_map(prof, chi, rot)
+        assert np.abs(out.g_pe - ref).max() <= 1e-15 * np.abs(ref).max()
+        assert out.max_index == int(np.argmax(np.abs(ref)))
+    assert -1 in dets and 1 in dets
+
+
+def test_spin_map_complex_strain_against_tensor_rotation():
+    rng = np.random.default_rng(20)
+    real = rng.normal(size=(50, 6)) * 1e-6
+    rot = next(random_rotations(rng, 1))
+    base = seeded_profile(50, 21)
+    # a tiny imaginary part passes the check and leaves the real map
+    faint = replace(base, strain_voigt=real + 1e-20j * rng.normal(size=(50, 6)))
+    ref = rotated_difference(faint.strain_voigt, rot)
+    out = spin_coupling_map(faint, 1.0, rot)
+    assert np.abs(out.g_pe - ref.real).max() <= 1e-15 * np.abs(ref).max()
+    # a travelling-wave phase fires the imaginary-residual check in both
+    phased = replace(base, strain_voigt=real * np.exp(1j * rng.uniform(0, 2 * np.pi, (50, 1))))
+    ref = rotated_difference(phased.strain_voigt, rot)
+    assert np.abs(ref.imag).max() > 1e-9 * np.abs(ref).max()
+    with pytest.raises(NumericalIntegrityError, match="imaginary residual"):
+        spin_coupling_map(phased, 1.0, rot)
+
+
 # ----------------------------------------------------------- loss budget
 
 def test_q_total_single_channel():
@@ -362,27 +415,66 @@ def test_system_rates_validation():
 
 # ------------------------------------------------------------ file formats
 
-def test_field_profile_round_trip(tmp_path):
-    rng = np.random.default_rng(15)
-    n = 4
-    prof = FieldProfile(
+def seeded_profile(n, seed):
+    rng = np.random.default_rng(seed)
+    return FieldProfile(
         positions=rng.normal(size=(n, 3)) * 1e-6,
         volumes=np.abs(rng.normal(size=n)) * 1e-19 + 1e-20,
         e_field=rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3)),
         strain_voigt=rng.normal(size=(n, 6)) * 1e-6,
         compliance_weight=np.abs(rng.normal(size=n)) * 10,
-        permittivity=np.full(n, 8.9e-11),
+        permittivity=rng.uniform(7e-11, 9e-11, n),
         frequency_hz=F0,
         source="round-trip",
     )
+
+
+PROFILE_ARRAYS = ("positions", "volumes", "e_field", "strain_voigt", "compliance_weight", "permittivity")
+
+
+def assert_same_profile(a, b):
+    for name in PROFILE_ARRAYS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.shape == y.shape, name
+        assert x.tobytes() == y.tobytes(), name
+
+
+def test_field_profile_round_trip(tmp_path):
+    prof = seeded_profile(2000, 15)
     path = tmp_path / "prof.txt"
     write_field_profile(prof, path)
     back = read_field_profile(path)
-    np.testing.assert_allclose(back.positions, prof.positions, rtol=1e-16)
-    np.testing.assert_allclose(back.e_field, prof.e_field, rtol=1e-16)
-    np.testing.assert_allclose(back.strain_voigt, prof.strain_voigt, rtol=1e-16)
+    assert_same_profile(back, prof)
     assert back.frequency_hz == prof.frequency_hz
     assert back.source == "round-trip"
+
+
+def test_field_profile_writer_bytes_match_per_value_rendering(tmp_path):
+    prof = seeded_profile(500, 16)
+    path = tmp_path / "prof.txt"
+    write_field_profile(prof, path)
+    lines = [
+        "profile_format = field-profile-v1",
+        "source = round-trip",
+        f"frequency_hz = {F0!r}",
+        "voigt_convention = engineering",
+        "cell_count = 500",
+    ]
+    for k in range(500):
+        e = prof.e_field[k]
+        row = [
+            *prof.positions[k], prof.volumes[k],
+            e[0].real, e[0].imag, e[1].real, e[1].imag, e[2].real, e[2].imag,
+            *prof.strain_voigt[k].real, prof.compliance_weight[k], prof.permittivity[k],
+        ]
+        lines.append(" ".join(f"{x:.17e}" for x in row))
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def test_field_profile_writer_rejects_complex_strain(tmp_path):
+    prof = single_cell_profile(strain=(1e-8 + 1e-12j, 0, 0, 0, 0, 0))
+    with pytest.raises(ValueError, match="real strain channels only"):
+        write_field_profile(prof, tmp_path / "prof.txt")
 
 
 def test_field_profile_reader_rejects_unknown_header(tmp_path):
@@ -413,6 +505,82 @@ def test_field_profile_reader_rejects_cell_count_mismatch(tmp_path):
     text = path.read_text().replace("cell_count = 1", "cell_count = 2")
     path.write_text(text)
     with pytest.raises(ConfigError):
+        read_field_profile(path)
+
+
+def two_cell_lines(tmp_path):
+    """A written 2-cell profile as lines: header on lines 1-5, cells on lines 6-7."""
+    path = tmp_path / "prof.txt"
+    write_field_profile(seeded_profile(2, 17), path)
+    return path, path.read_text().splitlines()
+
+
+def _edit_duplicate_header(lines):
+    return lines[:1] + lines[:1] + lines[1:]
+
+
+def _edit_unknown_header(lines):
+    return [lines[0], "sauce = x"] + lines[2:]
+
+
+def _edit_non_numeric_cell(lines):
+    last = lines[6].split()
+    return lines[:6] + ["# a comment", "", " ".join(last[:-1] + ["abc"])]
+
+
+def _edit_key_value_in_data(lines):
+    return lines[:6] + ["extra = 1"] + lines[6:]
+
+
+def _edit_missing_header(lines):
+    return [lines[0]] + lines[2:]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_edit_duplicate_header, "{path}:2: duplicate header 'profile_format'"),
+    (_edit_unknown_header, "{path}:2: unknown field-profile header 'sauce'"),
+    (_edit_non_numeric_cell, "{path}:9: non-numeric cell data"),
+    (_edit_key_value_in_data, "{path}:7: expected 18 columns, got 3"),
+    (_edit_missing_header, "{path}: missing field-profile headers ['source']"),
+], ids=["duplicate-header", "unknown-header", "non-numeric-cell", "key-value-in-data", "missing-header"])
+def test_field_profile_reader_messages(tmp_path, edit, message):
+    path, lines = two_cell_lines(tmp_path)
+    path.write_text("\n".join(edit(lines)) + "\n")
+    with pytest.raises(ConfigError) as err:
+        read_field_profile(path)
+    assert str(err.value) == message.format(path=path)
+
+
+def test_field_profile_reader_cell_errors_come_before_header_errors(tmp_path):
+    path, lines = two_cell_lines(tmp_path)
+    lines = _edit_missing_header(lines)
+    path.write_text("\n".join(lines + ["1 2 3"]) + "\n")
+    with pytest.raises(ConfigError, match=r":7: expected 18 columns, got 3$"):
+        read_field_profile(path)
+
+
+@pytest.mark.parametrize("token, value", [("1_0", 10.0), ("\uff11", 1.0), ("-\uff12_5e-1", -2.5)])
+def test_field_profile_reader_accepts_what_float_accepts(tmp_path, token, value):
+    path, lines = two_cell_lines(tmp_path)
+    cell = lines[6].split()
+    cell[17] = token    # permittivity
+    lenient = lines[:6] + [" ".join(cell) + "  # trailing comment"]
+    path.write_text("\n".join(lenient) + "\n", encoding="utf-8")
+    back = read_field_profile(path)
+    assert back.permittivity[1] == value
+    cell[17] = repr(value)
+    plain = tmp_path / "plain.txt"
+    plain.write_text("\n".join(lines[:6] + [" ".join(cell)]) + "\n")
+    assert_same_profile(back, read_field_profile(plain))
+
+
+def test_field_profile_reader_without_cells(tmp_path):
+    path, lines = two_cell_lines(tmp_path)
+    path.write_text("\n".join(lines[:5]) + "\n")
+    with pytest.raises(ConfigError, match=r": header says 2 cells, file has 0$"):
+        read_field_profile(path)
+    path.write_text("\n".join(lines[:4] + ["cell_count = 0"]) + "\n")
+    with pytest.raises(ValueError, match="at least one cell"):
         read_field_profile(path)
 
 

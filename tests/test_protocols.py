@@ -141,6 +141,20 @@ def test_sweep_records_per_point_failures():
     assert bad_g.protocol == "resonant" and "g_scp" in bad_g.error
 
 
+@pytest.mark.parametrize("kind, field", [("delta-p", "delta_p"), ("delta-i", "delta_i")])
+def test_sweep_records_a_nan_control_by_name(kind, field):
+    (point,) = sweep(kind, [float("nan")], rates(), OPTS)
+    assert np.isnan(point.f_e_max) and np.isnan(point.t_opt)
+    assert point.error == f"{field} must be finite, got nan"
+
+
+@pytest.mark.parametrize("field", ["delta_p", "delta_i", "horizon"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_protocol_spec_rejects_non_finite_controls(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        ProtocolSpec("virtual-phonon", rates(), **{"delta_p": 30e6, field: value})
+
+
 def test_grid_runs_use_the_runners_looked_up_at_call_time(monkeypatch):
     calls = []
     real = protocols.run_virtual
