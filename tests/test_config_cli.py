@@ -106,6 +106,68 @@ def test_parse_sweep_values_and_kind(tmp_path):
         parse_run_config(write_config(tmp_path, RATES_BLOCK + "[sweep]\nkind = delta-q\nvalues = 1\n", "b.ini"))
 
 
+CAPS_BLOCK = "[device]\nc_s_f = 100e-15\nc_j_f = 5e-15\nc_idt_f = 10e-15\nv_app_v = 1.0\n"
+SPIN_REQUIRED = "[spin]\nlambda_g_hz = 425e9\ngamma_s_hz_per_t = 56e9\nchi_eff_hz_per_strain = 0.27e15\n"
+
+# (id, config body, the exact ConfigError text: {path} is the config file, {dir} its directory)
+CONFIG_ERROR_ROWS = [
+    ("rate-missing", RATES_BLOCK.replace("g_pe_hz = 3e6\n", ""), "{path}: [rates] is missing 'g_pe_hz'"),
+    ("rate-non-numeric", RATES_BLOCK.replace("= 100e3", "= fast"), "[rates] kappa_sc_hz: 'fast' is not a number"),
+    ("rate-non-finite", RATES_BLOCK.replace("= 43.1e3", "= inf"), "[rates] kappa_p_hz: 'inf' is not a finite number"),
+    ("rate-negative", RATES_BLOCK.replace("= 100e3", "= -1.0"), "{path}: [rates]: kappa_sc must be nonnegative"),
+    ("rate-zero-frequency", RATES_BLOCK.replace("f_p_hz = 4.31e9", "f_p_hz = 0"), "{path}: [rates]: f_p must be positive"),
+    ("rate-bad-and-missing", RATES_BLOCK.replace("= 100e3", "= fast").replace("g_pe_hz = 3e6\n", ""),
+     "[rates] kappa_sc_hz: 'fast' is not a number"),
+    ("protocol-without-kind", "[protocol]\ndelta_p_hz = 30e6\n", "{path}: [protocol] is missing 'kind'"),
+    ("protocol-non-numeric", "[protocol]\nkind = virtual-phonon\ndelta_p_hz = 30 MHz\n",
+     "[protocol] delta_p_hz: '30 MHz' is not a number"),
+    ("sim-method", "[sim]\nmethod = rk4\n", "{path}: [sim]: unknown integration method 'rk4'"),
+    ("sim-spin-decay-model", "[sim]\nspin_decay_model = foo\n",
+     "{path}: [sim] spin_decay_model must be 'energy' or 'dephasing'"),
+    ("sim-n_ph-fraction", "[sim]\nn_ph = 3.5\n", "[sim] n_ph: '3.5' is not an integer"),
+    ("sim-n_ph-range", "[sim]\nn_ph = 12\n", "{path}: [sim]: phonon truncation n_ph must lie in [2, 8]"),
+    ("sim-rel_tol", "[sim]\nrel_tol = 1\n", "{path}: [sim]: rel_tol must lie in (0, 1e-4]"),
+    ("sim-sample_dt", "[sim]\nsample_dt_s = 0\n", "{path}: [sim]: sample_dt must be positive"),
+    ("sweep-without-kind", "[sweep]\nvalues = 1e9\n", "{path}: [sweep] needs 'kind' and 'values'"),
+    ("sweep-without-values", "[sweep]\nkind = delta-i\n", "{path}: [sweep] needs 'kind' and 'values'"),
+    ("sweep-unknown-kind", "[sweep]\nkind = delta-q\nvalues = 1\n",
+     "{path}: [sweep] kind must be one of ('delta-i', 'delta-p', 'delta-g', 'hierarchy')"),
+    ("sweep-empty-list", "[sweep]\nkind = delta-i\nvalues = ,\n", "[sweep] values: empty list"),
+    ("sweep-non-numeric", "[sweep]\nkind = delta-i\nvalues = 1e9, x\n", "[sweep] values: 'x' is not a number"),
+    ("spin-missing", SPIN_REQUIRED.replace("gamma_s_hz_per_t = 56e9\n", ""),
+     "{path}: [spin] is missing 'gamma_s_hz_per_t'"),
+    ("spin-non-numeric", SPIN_REQUIRED + "b_z_t = strong\n", "[spin] b_z_t: 'strong' is not a number"),
+    ("caps-partial", "[device]\nc_s_f = 100e-15\n",
+     "{path}: [device] capacitance block is missing ['c_j_f', 'c_idt_f', 'v_app_v']"),
+    ("caps-negative", CAPS_BLOCK.replace("c_j_f = 5e-15", "c_j_f = -5e-15"), "{path}: [device]: c_j must be positive"),
+    ("device-missing-file", "[device]\npiezo_path = nope.txt\n",
+     "[device] piezo_path: file '{dir}/nope.txt' does not exist"),
+    ("device-rotation-3", "[device]\nemitter_rotation = 1, 0, 0\n",
+     "{path}: [device] emitter_rotation needs 9 entries (row major)"),
+    ("device-spectator-malformed", "[device]\nspectator_modes = 1e6:2e9, 3e6\n",
+     "[device] spectator_modes: expected 'a:b' pairs, got '3e6'"),
+    ("device-spectator-empty", "[device]\nspectator_modes = ,\n", "[device] spectator_modes: empty pair list"),
+    ("qbudget-without-q_clamp", "[qbudget]\nq_akhiezer = 1e7\n", "{path}: [qbudget] is missing 'q_clamp'"),
+    ("qbudget-participation", "[qbudget]\nq_clamp = 1e5\ntls_channels = 1.5:1e5\n",
+     "{path}: [qbudget]: participation 1.5 outside [0, 1]"),
+    ("unknown-key", "[protocol]\nkind = resonant\nfoo = 1\n", "{path}: unknown key 'foo' in [protocol]"),
+    ("unknown-section", RATES_BLOCK + "[rates2]\nx = 1\n", "{path}: unknown section [rates2]"),
+]
+
+
+@pytest.mark.parametrize(
+    "body, message", [row[1:] for row in CONFIG_ERROR_ROWS], ids=[row[0] for row in CONFIG_ERROR_ROWS]
+)
+def test_config_error_messages(tmp_path, capsys, body, message):
+    path = write_config(tmp_path, body)
+    expected = message.format(path=path, dir=tmp_path)
+    with pytest.raises(ConfigError) as err:
+        parse_run_config(path)
+    assert str(err.value) == expected
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {expected}"]
+
+
 # ------------------------------------------------------------- simulate
 
 def simulate_config(tmp_path, extra_protocol="", out="out"):
