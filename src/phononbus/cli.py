@@ -94,15 +94,15 @@ def _cmd_simulate(cfg: RunConfig, out_dir: Path) -> list[Path]:
     proto = cfg.protocol
     options = cfg.sim
     if proto.kind == RESONANT:
-        result = run_resonant(cfg.rates, options, proto.horizon, cfg.spin_decay_model)
+        result = run_resonant(cfg.rates, options, proto.horizon)
     elif proto.kind == VIRTUAL_PHONON:
         if proto.delta_p is None:
             raise ConfigError("[protocol] delta_p_hz is required for the virtual-phonon protocol")
-        result = run_virtual(cfg.rates, proto.delta_p, options, proto.horizon, cfg.spin_decay_model)
+        result = run_virtual(cfg.rates, proto.delta_p, options, proto.horizon)
     elif proto.kind == DOUBLE_RABI:
         if proto.delta_i is None:
             raise ConfigError("[protocol] delta_i_hz is required for the double-rabi protocol")
-        result = run_double_rabi(cfg.rates, proto.delta_i, options, cfg.spin_decay_model)
+        result = run_double_rabi(cfg.rates, proto.delta_i, options)
     else:
         raise ConfigError(f"[protocol] unknown kind '{proto.kind}'")
 
@@ -124,9 +124,7 @@ def _cmd_sweep(cfg: RunConfig, out_dir: Path) -> list[Path]:
     cfg.require("rates", "sweep")
     sw = cfg.sweep
     if sw.kind == "hierarchy":
-        report = protocol_hierarchy(
-            cfg.rates, sw.values, cfg.sim, sw.delta_p, sw.delta_i, spin_decay_model=cfg.spin_decay_model
-        )
+        report = protocol_hierarchy(cfg.rates, sw.values, cfg.sim, sw.delta_p, sw.delta_i)
         points = report.points
         csv_path = out_dir / "hierarchy.csv"
         header = "param,f_e_max,t_opt_s,protocol,best_protocol"
@@ -145,7 +143,7 @@ def _cmd_sweep(cfg: RunConfig, out_dir: Path) -> list[Path]:
             ],
         }
     else:
-        points = sweep(sw.kind, sw.values, cfg.rates, cfg.sim, spin_decay_model=cfg.spin_decay_model)
+        points = sweep(sw.kind, sw.values, cfg.rates, cfg.sim)
         csv_path = out_dir / "sweep.csv"
         header = "param,f_e_max,t_opt_s,protocol"
         rows = [(p.param, p.f_e_max, p.t_opt, p.protocol) for p in points]

@@ -15,57 +15,12 @@ import math
 import os
 import tempfile
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 from .device import CapacitanceSet, QBudget, SystemRates
 from .dynamics import SimOptions
 from .errors import ConfigError
-
-_RATE_KEYS = {
-    "f_sc_hz": "f_sc",
-    "f_p_hz": "f_p",
-    "f_e_hz": "f_e",
-    "kappa_sc_hz": "kappa_sc",
-    "kappa_p_hz": "kappa_p",
-    "kappa_e_hz": "kappa_e",
-    "g_scp_hz": "g_scp",
-    "g_pe_hz": "g_pe",
-}
-
-_SCHEMA = {
-    "rates": set(_RATE_KEYS),
-    "protocol": {"kind", "delta_p_hz", "delta_i_hz", "horizon_s"},
-    "sim": {"method", "rel_tol", "n_ph", "sample_dt_s", "spin_decay_model"},
-    "sweep": {"kind", "values", "delta_p_hz", "delta_i_hz"},
-    "spin": {
-        "lambda_g_hz",
-        "gamma_s_hz_per_t",
-        "gamma_l_hz_per_t",
-        "orbital_quench_q",
-        "b_x_t",
-        "b_z_t",
-        "chi_eff_hz_per_strain",
-        "target_splitting_hz",
-        "b_max_grid_t",
-        "reference_strain",
-    },
-    "device": {
-        "c_s_f",
-        "c_j_f",
-        "c_idt_f",
-        "v_app_v",
-        "e_profile_path",
-        "t_profile_path",
-        "piezo_path",
-        "emitter_rotation",
-        "spectator_modes",
-        "e_j_hz",
-        "e_c_hz",
-    },
-    "qbudget": {"q_clamp", "tls_channels", "q_akhiezer"},
-    "output": {"directory"},
-}
 
 SWEEP_KINDS = ("delta-i", "delta-p", "delta-g", "hierarchy")
 
@@ -118,7 +73,6 @@ class RunConfig:
     rates: SystemRates | None = None
     protocol: ProtocolSection | None = None
     sim: SimOptions = field(default_factory=SimOptions)
-    spin_decay_model: str = "energy"
     sweep: SweepSection | None = None
     spin: SpinSection | None = None
     device: DeviceSection | None = None
@@ -144,6 +98,22 @@ def _parse_float(section: str, key: str, value: str) -> float:
     return number
 
 
+def _parse_int(section: str, key: str, value: str) -> int:
+    number = _parse_float(section, key, value)
+    if not number.is_integer():
+        raise ConfigError(f"[{section}] {key}: '{value}' is not an integer")
+    return int(number)
+
+
+def _parse_text(section: str, key: str, value: str) -> str:
+    return value.strip()
+
+
+def _parse_path(section: str, key: str, value: str) -> Path:
+    """A path as written; the caller resolves it against the config's directory."""
+    return Path(value.strip())
+
+
 def _parse_float_list(section: str, key: str, value: str) -> tuple[float, ...]:
     parts = [p for p in (x.strip() for x in value.split(",")) if p]
     if not parts:
@@ -165,17 +135,88 @@ def _parse_pairs(section: str, key: str, value: str) -> tuple[tuple[float, float
     return tuple(pairs)
 
 
-def _resolve_path(base: Path, section: str, key: str, value: str) -> Path:
-    p = Path(value)
-    if not p.is_absolute():
-        p = base / p
-    if not p.exists():
-        raise ConfigError(f"[{section}] {key}: file '{p}' does not exist")
-    return p
+# section -> (the class its fields fill, {key: (field, parser)}). Every accepted key is
+# named here and nowhere else; a key is required when its field has no default.
+_SCHEMA = {
+    "rates": (SystemRates, {
+        "f_sc_hz": ("f_sc", _parse_float),
+        "f_p_hz": ("f_p", _parse_float),
+        "f_e_hz": ("f_e", _parse_float),
+        "kappa_sc_hz": ("kappa_sc", _parse_float),
+        "kappa_p_hz": ("kappa_p", _parse_float),
+        "kappa_e_hz": ("kappa_e", _parse_float),
+        "g_scp_hz": ("g_scp", _parse_float),
+        "g_pe_hz": ("g_pe", _parse_float),
+    }),
+    "protocol": (ProtocolSection, {
+        "kind": ("kind", _parse_text),
+        "delta_p_hz": ("delta_p", _parse_float),
+        "delta_i_hz": ("delta_i", _parse_float),
+        "horizon_s": ("horizon", _parse_float),
+    }),
+    "sim": (SimOptions, {
+        "method": ("method", _parse_text),
+        "rel_tol": ("rel_tol", _parse_float),
+        "n_ph": ("n_ph", _parse_int),
+        "sample_dt_s": ("sample_dt", _parse_float),
+        "spin_decay_model": ("spin_decay_model", _parse_text),
+    }),
+    "sweep": (SweepSection, {
+        "kind": ("kind", _parse_text),
+        "values": ("values", _parse_float_list),
+        "delta_p_hz": ("delta_p", _parse_float),
+        "delta_i_hz": ("delta_i", _parse_float),
+    }),
+    "spin": (SpinSection, {
+        "lambda_g_hz": ("lambda_g", _parse_float),
+        "gamma_s_hz_per_t": ("gamma_s", _parse_float),
+        "chi_eff_hz_per_strain": ("chi_eff", _parse_float),
+        "gamma_l_hz_per_t": ("gamma_l", _parse_float),
+        "orbital_quench_q": ("q", _parse_float),
+        "b_x_t": ("b_x", _parse_float),
+        "b_z_t": ("b_z", _parse_float),
+        "target_splitting_hz": ("target_splitting", _parse_float),
+        "b_max_grid_t": ("b_max_grid", _parse_float_list),
+        "reference_strain": ("reference_strain", _parse_float),
+    }),
+    "device": (DeviceSection, {
+        "c_s_f": ("c_s", _parse_float),
+        "c_j_f": ("c_j", _parse_float),
+        "c_idt_f": ("c_idt", _parse_float),
+        "v_app_v": ("v_app", _parse_float),
+        "e_profile_path": ("e_profile_path", _parse_path),
+        "t_profile_path": ("t_profile_path", _parse_path),
+        "piezo_path": ("piezo_path", _parse_path),
+        "emitter_rotation": ("emitter_rotation", _parse_float_list),
+        "spectator_modes": ("spectator_modes", _parse_pairs),
+        "e_j_hz": ("e_j", _parse_float),
+        "e_c_hz": ("e_c", _parse_float),
+    }),
+    "qbudget": (QBudget, {
+        "q_clamp": ("q_clamp", _parse_float),
+        "tls_channels": ("tls_channels", _parse_pairs),
+        "q_akhiezer": ("q_akhiezer", _parse_float),
+    }),
+    "output": (None, {
+        "directory": ("directory", _parse_path),
+    }),
+}
+
+
+def _build(path: Path, section: str, cls, values: dict):
+    """``cls(**values)``, with a ValueError reported as a [section] config error."""
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: [{section}]: {exc}") from exc
 
 
 def parse_run_config(path) -> RunConfig:
-    """Parse and validate a run configuration file."""
+    """Parse and validate a run configuration file.
+
+    Every missing key and every value that does not parse is reported before
+    any range or consistency check.
+    """
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file '{path}' does not exist")
@@ -191,180 +232,57 @@ def parse_run_config(path) -> RunConfig:
         if section not in _SCHEMA:
             raise ConfigError(f"{path}: unknown section [{section}]")
         for key in parser[section]:
-            if key not in _SCHEMA[section]:
+            if key not in _SCHEMA[section][1]:
                 raise ConfigError(f"{path}: unknown key '{key}' in [{section}]")
 
+    values: dict[str, dict] = {}
+    for section, (cls, table) in _SCHEMA.items():
+        if not parser.has_section(section):
+            continue
+        raw = parser[section]
+        required = () if cls is None else {
+            f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING
+        }
+        for key, (name, _) in table.items():
+            if name in required and key not in raw:
+                raise ConfigError(f"{path}: [{section}] is missing '{key}'")
+        values[section] = {
+            name: parse(section, key, raw[key]) for key, (name, parse) in table.items() if key in raw
+        }
+
+    def build(section: str):
+        return _build(path, section, _SCHEMA[section][0], values[section]) if section in values else None
+
     base = path.parent
-    resolved: dict[str, dict] = {s: dict(parser[s]) for s in parser.sections()}
-    get = lambda s, k, default=None: parser.get(s, k, fallback=default)
-
-    rates = None
-    if parser.has_section("rates"):
-        kwargs = {}
-        for key, attr in _RATE_KEYS.items():
-            raw = get("rates", key)
-            if raw is None:
-                raise ConfigError(f"{path}: [rates] is missing '{key}'")
-            kwargs[attr] = _parse_float("rates", key, raw)
-        try:
-            rates = SystemRates(**kwargs)
-        except ValueError as exc:
-            raise ConfigError(f"{path}: [rates]: {exc}") from exc
-
-    protocol = None
-    if parser.has_section("protocol"):
-        kind = get("protocol", "kind")
-        if kind is None:
-            raise ConfigError(f"{path}: [protocol] is missing 'kind'")
-        raw_dp = get("protocol", "delta_p_hz")
-        raw_di = get("protocol", "delta_i_hz")
-        raw_h = get("protocol", "horizon_s")
-        protocol = ProtocolSection(
-            kind=kind.strip(),
-            delta_p=None if raw_dp is None else _parse_float("protocol", "delta_p_hz", raw_dp),
-            delta_i=None if raw_di is None else _parse_float("protocol", "delta_i_hz", raw_di),
-            horizon=None if raw_h is None else _parse_float("protocol", "horizon_s", raw_h),
-        )
-
-    sim_kwargs = {}
-    spin_decay_model = "energy"
-    if parser.has_section("sim"):
-        if (v := get("sim", "method")) is not None:
-            sim_kwargs["method"] = v.strip()
-        if (v := get("sim", "rel_tol")) is not None:
-            sim_kwargs["rel_tol"] = _parse_float("sim", "rel_tol", v)
-        if (v := get("sim", "n_ph")) is not None:
-            n_ph = _parse_float("sim", "n_ph", v)
-            if not n_ph.is_integer():
-                raise ConfigError(f"[sim] n_ph: '{v}' is not an integer")
-            sim_kwargs["n_ph"] = int(n_ph)
-        if (v := get("sim", "sample_dt_s")) is not None:
-            sim_kwargs["sample_dt"] = _parse_float("sim", "sample_dt_s", v)
-        if (v := get("sim", "spin_decay_model")) is not None:
-            spin_decay_model = v.strip()
-            if spin_decay_model not in ("energy", "dephasing"):
-                raise ConfigError(
-                    f"{path}: [sim] spin_decay_model must be 'energy' or 'dephasing'"
-                )
-    try:
-        sim = SimOptions(**sim_kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: [sim]: {exc}") from exc
-
-    sweep_cfg = None
-    if parser.has_section("sweep"):
-        kind = get("sweep", "kind")
-        raw_values = get("sweep", "values")
-        if kind is None or raw_values is None:
-            raise ConfigError(f"{path}: [sweep] needs 'kind' and 'values'")
-        kind = kind.strip()
-        if kind not in SWEEP_KINDS:
-            raise ConfigError(f"{path}: [sweep] kind must be one of {SWEEP_KINDS}")
-        kwargs = {"kind": kind, "values": _parse_float_list("sweep", "values", raw_values)}
-        if (v := get("sweep", "delta_p_hz")) is not None:
-            kwargs["delta_p"] = _parse_float("sweep", "delta_p_hz", v)
-        if (v := get("sweep", "delta_i_hz")) is not None:
-            kwargs["delta_i"] = _parse_float("sweep", "delta_i_hz", v)
-        sweep_cfg = SweepSection(**kwargs)
-
-    spin_cfg = None
-    if parser.has_section("spin"):
-        required = {
-            "lambda_g": "lambda_g_hz",
-            "gamma_s": "gamma_s_hz_per_t",
-            "chi_eff": "chi_eff_hz_per_strain",
-        }
-        kwargs = {}
-        for attr, key in required.items():
-            raw = get("spin", key)
-            if raw is None:
-                raise ConfigError(f"{path}: [spin] is missing '{key}'")
-            kwargs[attr] = _parse_float("spin", key, raw)
-        optional = {
-            "gamma_l": "gamma_l_hz_per_t",
-            "q": "orbital_quench_q",
-            "b_x": "b_x_t",
-            "b_z": "b_z_t",
-            "target_splitting": "target_splitting_hz",
-            "reference_strain": "reference_strain",
-        }
-        for attr, key in optional.items():
-            raw = get("spin", key)
-            if raw is not None:
-                kwargs[attr] = _parse_float("spin", key, raw)
-        if (v := get("spin", "b_max_grid_t")) is not None:
-            kwargs["b_max_grid"] = _parse_float_list("spin", "b_max_grid_t", v)
-        spin_cfg = SpinSection(**kwargs)
-
-    device_cfg = None
-    if parser.has_section("device"):
-        kwargs = {}
-        cap_keys = {"c_s": "c_s_f", "c_j": "c_j_f", "c_idt": "c_idt_f", "v_app": "v_app_v"}
-        raw_caps = {attr: get("device", key) for attr, key in cap_keys.items()}
-        if any(v is not None for v in raw_caps.values()):
-            missing = [cap_keys[a] for a, v in raw_caps.items() if v is None]
+    if "sweep" in values and values["sweep"]["kind"] not in SWEEP_KINDS:
+        raise ConfigError(f"{path}: [sweep] kind must be one of {SWEEP_KINDS}")
+    if (device := values.get("device")) is not None:
+        table = _SCHEMA["device"][1]
+        cap_names = [f.name for f in fields(CapacitanceSet)]
+        if any(name in device for name in cap_names):
+            missing = [key for key, (name, _) in table.items() if name in cap_names and name not in device]
             if missing:
                 raise ConfigError(f"{path}: [device] capacitance block is missing {missing}")
-            try:
-                kwargs["caps"] = CapacitanceSet(
-                    **{a: _parse_float("device", cap_keys[a], v) for a, v in raw_caps.items()}
-                )
-            except ValueError as exc:
-                raise ConfigError(f"{path}: [device]: {exc}") from exc
-        for attr, key in (
-            ("e_profile_path", "e_profile_path"),
-            ("t_profile_path", "t_profile_path"),
-            ("piezo_path", "piezo_path"),
-        ):
-            raw = get("device", key)
-            if raw is not None:
-                kwargs[attr] = _resolve_path(base, "device", key, raw.strip())
-        if (v := get("device", "emitter_rotation")) is not None:
-            rot = _parse_float_list("device", "emitter_rotation", v)
-            if len(rot) != 9:
-                raise ConfigError(f"{path}: [device] emitter_rotation needs 9 entries (row major)")
-            kwargs["emitter_rotation"] = rot
-        if (v := get("device", "spectator_modes")) is not None:
-            kwargs["spectator_modes"] = _parse_pairs("device", "spectator_modes", v)
-        for attr, key in (("e_j", "e_j_hz"), ("e_c", "e_c_hz")):
-            raw = get("device", key)
-            if raw is not None:
-                kwargs[attr] = _parse_float("device", key, raw)
-        device_cfg = DeviceSection(**kwargs)
-
-    qbudget = None
-    if parser.has_section("qbudget"):
-        raw_qc = get("qbudget", "q_clamp")
-        if raw_qc is None:
-            raise ConfigError(f"{path}: [qbudget] is missing 'q_clamp'")
-        kwargs = {"q_clamp": _parse_float("qbudget", "q_clamp", raw_qc)}
-        if (v := get("qbudget", "tls_channels")) is not None:
-            kwargs["tls_channels"] = _parse_pairs("qbudget", "tls_channels", v)
-        if (v := get("qbudget", "q_akhiezer")) is not None:
-            kwargs["q_akhiezer"] = _parse_float("qbudget", "q_akhiezer", v)
-        try:
-            qbudget = QBudget(**kwargs)
-        except ValueError as exc:
-            raise ConfigError(f"{path}: [qbudget]: {exc}") from exc
-
-    output_dir = Path("out")
-    if parser.has_section("output") and (v := get("output", "directory")) is not None:
-        output_dir = Path(v.strip())
-        if not output_dir.is_absolute():
-            output_dir = base / output_dir
-
+            device["caps"] = _build(path, "device", CapacitanceSet, {n: device.pop(n) for n in cap_names})
+        for key, (name, _) in table.items():
+            if isinstance(device.get(name), Path):
+                device[name] = base / device[name]
+                if not device[name].exists():
+                    raise ConfigError(f"[device] {key}: file '{device[name]}' does not exist")
+        if len(device.get("emitter_rotation", DeviceSection.emitter_rotation)) != 9:
+            raise ConfigError(f"{path}: [device] emitter_rotation needs 9 entries (row major)")
+    output = values.get("output", {})
     return RunConfig(
         path=path,
-        rates=rates,
-        protocol=protocol,
-        sim=sim,
-        spin_decay_model=spin_decay_model,
-        sweep=sweep_cfg,
-        spin=spin_cfg,
-        device=device_cfg,
-        qbudget=qbudget,
-        output_dir=output_dir,
-        resolved=resolved,
+        rates=build("rates"),
+        protocol=build("protocol"),
+        sim=_build(path, "sim", SimOptions, values.get("sim", {})),
+        sweep=build("sweep"),
+        spin=build("spin"),
+        device=build("device"),
+        qbudget=build("qbudget"),
+        output_dir=base / output["directory"] if "directory" in output else Path("out"),
+        resolved={s: dict(parser[s]) for s in parser.sections()},
     )
 
 

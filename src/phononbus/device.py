@@ -208,7 +208,7 @@ def photon_zero_point_scale(caps: CapacitanceSet, f_sc: float) -> float:
 
 def normalize_photon_field(profile: FieldProfile, caps: CapacitanceSet, f_sc: float) -> FieldProfile:
     """Rescale the electric field to single-photon amplitude; strain data untouched."""
-    if abs(profile.frequency_hz - f_sc) > 0.01 * f_sc:
+    if not abs(profile.frequency_hz - f_sc) <= 0.01 * f_sc:  # a NaN frequency fails too
         raise ValueError(
             f"profile frequency {profile.frequency_hz} Hz differs from f_sc = {f_sc} Hz by > 1%"
         )
@@ -474,9 +474,16 @@ def read_field_profile(path) -> FieldProfile:
         raise ConfigError(
             f"{path}: voigt_convention must be 'engineering', got '{header['voigt_convention']}'"
         )
-    n = int(header["cell_count"])
+    try:
+        n = int(header["cell_count"])
+    except ValueError as exc:
+        raise ConfigError(f"{path}: cell_count: '{header['cell_count']}' is not an integer") from exc
     if len(data) != n:
         raise ConfigError(f"{path}: header says {n} cells, file has {len(data)}")
+    try:
+        frequency_hz = float(header["frequency_hz"])
+    except ValueError as exc:
+        raise ConfigError(f"{path}: frequency_hz: '{header['frequency_hz']}' is not a number") from exc
     e_field = data[:, 4:10:2] + 1j * data[:, 5:11:2]
     return FieldProfile(
         positions=data[:, 0:3],
@@ -485,7 +492,7 @@ def read_field_profile(path) -> FieldProfile:
         strain_voigt=data[:, 10:16],
         compliance_weight=data[:, 16],
         permittivity=data[:, 17],
-        frequency_hz=float(header["frequency_hz"]),
+        frequency_hz=frequency_hz,
         source=header["source"],
     )
 

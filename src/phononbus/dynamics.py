@@ -49,6 +49,9 @@ TRAJECTORY_CSV_HEADER = "t_s,P_sc,P_p,P_e,F_sc,F_p,F_e,trace_err"
 # Sample times evaluated per batch: bounds the work array at (d_block**2, SAMPLE_CHUNK).
 SAMPLE_CHUNK = 100
 
+# Spin dissipators; see LindbladModel.
+SPIN_DECAY_MODELS = ("energy", "dephasing")
+
 
 @dataclass(frozen=True)
 class Segment:
@@ -110,13 +113,15 @@ class SimOptions:
     "adaptive-stepper". rel_tol controls the stepper and the documented
     agreement between the two routes. n_ph is the phonon truncation (exact
     for a single excitation from n_ph = 2 on).
-    sample_dt defaults to duration/2000 when omitted.
+    sample_dt defaults to duration/2000 when omitted. spin_decay_model
+    picks the spin dissipator of every run (see LindbladModel).
     """
 
     method: str = "piecewise-exponential"
     rel_tol: float = 1e-8
     n_ph: int = 3
     sample_dt: float | None = None
+    spin_decay_model: str = "energy"
 
     def __post_init__(self):
         if self.method not in ("piecewise-exponential", "adaptive-stepper"):
@@ -127,6 +132,8 @@ class SimOptions:
             raise ValueError("phonon truncation n_ph must lie in [2, 8]")
         if self.sample_dt is not None and self.sample_dt <= 0:
             raise ValueError("sample_dt must be positive")
+        if self.spin_decay_model not in SPIN_DECAY_MODELS:
+            raise ValueError(f"unknown spin decay model '{self.spin_decay_model}'")
 
     @property
     def layout(self) -> SpaceLayout:
@@ -154,7 +161,7 @@ class LindbladModel:
             raise ValueError("layout must be (2, N_ph, 2)")
         if self.layout.dims[1] < 2:
             raise ValueError("phonon truncation must be at least 2")
-        if self.spin_decay_model not in ("energy", "dephasing"):
+        if self.spin_decay_model not in SPIN_DECAY_MODELS:
             raise ValueError(f"unknown spin decay model '{self.spin_decay_model}'")
 
 

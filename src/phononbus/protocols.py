@@ -166,13 +166,8 @@ def _refine_peak(evolution: Evolution, trajectory: Trajectory) -> tuple[float, f
     return next(p for p in peaks if p[0] >= best - PEAK_TIE)
 
 
-def _run_schedule(
-    spec: ProtocolSpec,
-    schedule: DetuningSchedule,
-    options: SimOptions,
-    spin_decay_model: str = "energy",
-) -> ProtocolResult:
-    model = LindbladModel(spec.rates, options.layout, schedule, spin_decay_model)
+def _run_schedule(spec: ProtocolSpec, schedule: DetuningSchedule, options: SimOptions) -> ProtocolResult:
+    model = LindbladModel(spec.rates, options.layout, schedule, options.spin_decay_model)
     rho0 = basis_ket((1, 0, 0), model.layout)
     trajectory = evolve(model, rho0, options)
     f_max, t_opt = _refine_peak(Evolution(model, rho0, options), trajectory)
@@ -185,12 +180,7 @@ def _run_schedule(
     )
 
 
-def run_resonant(
-    rates: SystemRates,
-    options: SimOptions,
-    horizon: float | None = None,
-    spin_decay_model: str = "energy",
-) -> ProtocolResult:
+def run_resonant(rates: SystemRates, options: SimOptions, horizon: float | None = None) -> ProtocolResult:
     """Uncontrolled on-resonance evolution; peak F_e within the horizon.
 
     The default horizon is 1.5/min(g_scp, g_pe).
@@ -200,7 +190,7 @@ def run_resonant(
         raise ValueError("resonant protocol needs both couplings positive")
     spec = ProtocolSpec(RESONANT, rates, horizon=horizon)
     h = horizon if horizon is not None else 1.5 / g_min
-    return _run_schedule(spec, DetuningSchedule.constant(h), options, spin_decay_model)
+    return _run_schedule(spec, DetuningSchedule.constant(h), options)
 
 
 def run_virtual(
@@ -208,7 +198,6 @@ def run_virtual(
     delta_p: float,
     options: SimOptions,
     horizon: float | None = None,
-    spin_decay_model: str = "energy",
 ) -> ProtocolResult:
     """Transfer through virtual phonon occupation at phonon detuning delta_p.
 
@@ -231,21 +220,14 @@ def run_virtual(
     h = horizon if horizon is not None else 3.0 * abs(delta_p) / (4.0 * rates.g_scp * rates.g_pe)
     result = None
     for _ in range(4):
-        result = _run_schedule(
-            spec, DetuningSchedule.constant(h, delta_p=delta_p), options, spin_decay_model
-        )
+        result = _run_schedule(spec, DetuningSchedule.constant(h, delta_p=delta_p), options)
         if horizon is not None or result.t_opt < 0.95 * h:
             return result
         h *= 2.0
     return result
 
 
-def run_double_rabi(
-    rates: SystemRates,
-    delta_i: float,
-    options: SimOptions,
-    spin_decay_model: str = "energy",
-) -> ProtocolResult:
+def run_double_rabi(rates: SystemRates, delta_i: float, options: SimOptions) -> ProtocolResult:
     """Two sequential swaps with the idle mode parked at detuning delta_i.
 
     Segment 1: delta_sc = 0, delta_e = delta_i for one transmon-phonon swap,
@@ -266,7 +248,7 @@ def run_double_rabi(
             Segment(t1, t1 + t2, delta_sc=delta_i, delta_e=0.0),
         )
     )
-    return _run_schedule(spec, schedule, options, spin_decay_model)
+    return _run_schedule(spec, schedule, options)
 
 
 def _grid_point(
@@ -276,7 +258,6 @@ def _grid_point(
     changes: dict,
     control: float | None,
     options: SimOptions,
-    spin_decay_model: str,
 ) -> SweepPoint:
     """Run ``protocol`` (with its delta_p or delta_i ``control``) on ``rates`` updated by ``changes``.
 
@@ -285,11 +266,11 @@ def _grid_point(
     try:
         point_rates = replace(rates, **changes)
         if protocol == RESONANT:
-            res = run_resonant(point_rates, options, spin_decay_model=spin_decay_model)
+            res = run_resonant(point_rates, options)
         elif protocol == VIRTUAL_PHONON:
-            res = run_virtual(point_rates, control, options, spin_decay_model=spin_decay_model)
+            res = run_virtual(point_rates, control, options)
         elif protocol == DOUBLE_RABI:
-            res = run_double_rabi(point_rates, control, options, spin_decay_model=spin_decay_model)
+            res = run_double_rabi(point_rates, control, options)
         else:
             raise ValueError(f"unknown sweep kind '{protocol}'")
     except (TransducerError, ValueError) as exc:
@@ -297,13 +278,7 @@ def _grid_point(
     return SweepPoint(param, res.f_e_max, res.t_opt, protocol, res.f_e_end)
 
 
-def sweep(
-    kind: str,
-    values: Sequence[float],
-    rates: SystemRates,
-    options: SimOptions,
-    spin_decay_model: str = "energy",
-) -> list[SweepPoint]:
+def sweep(kind: str, values: Sequence[float], rates: SystemRates, options: SimOptions) -> list[SweepPoint]:
     """Run one protocol family over a parameter grid, in grid order.
 
     delta-g sweeps the coupling mismatch g_scp = g_pe + delta_g of the
@@ -317,7 +292,7 @@ def sweep(
         raise ValueError("sweep grid is empty")
     protocol = {"delta-g": RESONANT, "delta-p": VIRTUAL_PHONON, "delta-i": DOUBLE_RABI}.get(kind, kind)
     changes = [{"g_scp": rates.g_pe + v} if kind == "delta-g" else {} for v in values]
-    return [_grid_point(protocol, v, rates, c, v, options, spin_decay_model) for v, c in zip(values, changes)]
+    return [_grid_point(protocol, v, rates, c, v, options) for v, c in zip(values, changes)]
 
 
 def protocol_hierarchy(
@@ -326,14 +301,13 @@ def protocol_hierarchy(
     options: SimOptions,
     delta_p: float = 30e6,
     delta_i: float = 1e9,
-    spin_decay_model: str = "energy",
 ) -> HierarchyReport:
     """Compare the three protocols across mechanical quality factors.
 
     Per Q the phonon decay is f_p/Q. Protocols 1 and 2 run with the
     couplings matched at min(g_scp, g_pe), the dial-down available by
     weakening the stronger interface; protocol 3 uses the full couplings.
-    Every run uses ``spin_decay_model``, as in the single-protocol runners.
+    Every run uses ``options``, its spin decay model included.
     Each (Q, protocol) run is one grid point, failing as a sweep point does:
     its fidelity and time read NaN, it never ranks best (best_protocol is 0
     at a Q where all three fail) and it enters no crossover. Crossover Qs are
@@ -354,9 +328,9 @@ def protocol_hierarchy(
             kappa_p = kappa_from_q(rates_base.f_p, q)
             matched = {"kappa_p": kappa_p, "g_scp": g, "g_pe": g}
             points += [
-                _grid_point(RESONANT, q, rates_base, matched, None, options, spin_decay_model),
-                _grid_point(VIRTUAL_PHONON, q, rates_base, matched, delta_p, options, spin_decay_model),
-                _grid_point(DOUBLE_RABI, q, rates_base, {"kappa_p": kappa_p}, delta_i, options, spin_decay_model),
+                _grid_point(RESONANT, q, rates_base, matched, None, options),
+                _grid_point(VIRTUAL_PHONON, q, rates_base, matched, delta_p, options),
+                _grid_point(DOUBLE_RABI, q, rates_base, {"kappa_p": kappa_p}, delta_i, options),
             ]
 
     fidelities = np.array([p.f_e_max for p in points]).reshape(-1, 3).T   # (3, nq)

@@ -95,9 +95,6 @@ class Operator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def dagger(self) -> "Operator":
-        return Operator(self.matrix.conj().T, self.layout)
-
     def is_hermitian(self, rtol: float = MATRIX_RTOL) -> bool:
         return hermiticity_defect(self.matrix) <= rtol
 
@@ -126,13 +123,6 @@ class DensityMatrix:
         if abs(tr - 1.0) > 1e-6:
             raise ValueError(f"density matrix trace {tr} is not 1")
         object.__setattr__(self, "matrix", _frozen(m))
-
-    @property
-    def trace_error(self) -> float:
-        return float(abs(self.matrix.trace() - 1.0))
-
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.matrix)[0])
 
 
 def identity(layout: SpaceLayout) -> Operator:
@@ -181,13 +171,6 @@ def basis_ket(labels, layout: SpaceLayout) -> DensityMatrix:
     m = np.zeros((layout.dim, layout.dim), dtype=complex)
     m[idx, idx] = 1.0
     return DensityMatrix(m, layout)
-
-
-def basis_vector(labels, layout: SpaceLayout) -> np.ndarray:
-    """Unit column vector for the product basis state |labels>."""
-    v = np.zeros(layout.dim, dtype=complex)
-    v[layout.index(labels)] = 1.0
-    return v
 
 
 def fidelity_pure(rho: DensityMatrix, target_labels) -> float:

@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -117,19 +118,19 @@ CONFIG_ERROR_ROWS = [
     ("rate-negative", RATES_BLOCK.replace("= 100e3", "= -1.0"), "{path}: [rates]: kappa_sc must be nonnegative"),
     ("rate-zero-frequency", RATES_BLOCK.replace("f_p_hz = 4.31e9", "f_p_hz = 0"), "{path}: [rates]: f_p must be positive"),
     ("rate-bad-and-missing", RATES_BLOCK.replace("= 100e3", "= fast").replace("g_pe_hz = 3e6\n", ""),
-     "[rates] kappa_sc_hz: 'fast' is not a number"),
+     "{path}: [rates] is missing 'g_pe_hz'"),
     ("protocol-without-kind", "[protocol]\ndelta_p_hz = 30e6\n", "{path}: [protocol] is missing 'kind'"),
     ("protocol-non-numeric", "[protocol]\nkind = virtual-phonon\ndelta_p_hz = 30 MHz\n",
      "[protocol] delta_p_hz: '30 MHz' is not a number"),
     ("sim-method", "[sim]\nmethod = rk4\n", "{path}: [sim]: unknown integration method 'rk4'"),
     ("sim-spin-decay-model", "[sim]\nspin_decay_model = foo\n",
-     "{path}: [sim] spin_decay_model must be 'energy' or 'dephasing'"),
+     "{path}: [sim]: unknown spin decay model 'foo'"),
     ("sim-n_ph-fraction", "[sim]\nn_ph = 3.5\n", "[sim] n_ph: '3.5' is not an integer"),
     ("sim-n_ph-range", "[sim]\nn_ph = 12\n", "{path}: [sim]: phonon truncation n_ph must lie in [2, 8]"),
     ("sim-rel_tol", "[sim]\nrel_tol = 1\n", "{path}: [sim]: rel_tol must lie in (0, 1e-4]"),
     ("sim-sample_dt", "[sim]\nsample_dt_s = 0\n", "{path}: [sim]: sample_dt must be positive"),
-    ("sweep-without-kind", "[sweep]\nvalues = 1e9\n", "{path}: [sweep] needs 'kind' and 'values'"),
-    ("sweep-without-values", "[sweep]\nkind = delta-i\n", "{path}: [sweep] needs 'kind' and 'values'"),
+    ("sweep-without-kind", "[sweep]\nvalues = 1e9\n", "{path}: [sweep] is missing 'kind'"),
+    ("sweep-without-values", "[sweep]\nkind = delta-i\n", "{path}: [sweep] is missing 'values'"),
     ("sweep-unknown-kind", "[sweep]\nkind = delta-q\nvalues = 1\n",
      "{path}: [sweep] kind must be one of ('delta-i', 'delta-p', 'delta-g', 'hierarchy')"),
     ("sweep-empty-list", "[sweep]\nkind = delta-i\nvalues = ,\n", "[sweep] values: empty list"),
@@ -371,7 +372,7 @@ def test_hierarchy_sweep_honours_spin_decay_model(tmp_path):
         csv[model] = (out_dir / "hierarchy.csv").read_text().splitlines()
     assert csv["energy"][1:] != csv["dephasing"][1:]
     rates = SystemRates(4.31e9, 4.31e9, 4.31e9, 1e5, 43.1e3, 1e6, 10e6, 3e6)
-    report = protocol_hierarchy(rates, [1e5], SimOptions(), spin_decay_model="dephasing")
+    report = protocol_hierarchy(rates, [1e5], SimOptions(spin_decay_model="dephasing"))
     csv_fe = [float(line.split(",")[1]) for line in csv["dephasing"][1:]]
     assert csv_fe == [float(f) for f in report.fidelities[:, 0]]
 
@@ -493,6 +494,19 @@ def test_coupling_missing_path_names_key(tmp_path, capsys):
     cfg_path = write_config(tmp_path, body)
     assert main(["coupling", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
     assert "t_profile_path" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("frequency, code", [("4310000000.0", 0), ("nan", 2), ("9e9", 2)])
+def test_coupling_checks_the_photon_profile_frequency(tmp_path, capsys, frequency, code):
+    shutil.copytree(REPO_CONFIGS / "data", tmp_path / "data")
+    e_profile = tmp_path / "data" / "demo_e_profile.txt"
+    text = e_profile.read_text()
+    assert "frequency_hz = 4310000000.0\n" in text
+    e_profile.write_text(text.replace("frequency_hz = 4310000000.0\n", f"frequency_hz = {frequency}\n"))
+    cfg_path = write_config(tmp_path, (REPO_CONFIGS / "coupling.ini").read_text())
+    assert main(["coupling", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == code
+    if code:
+        assert f"profile frequency {float(frequency)} Hz differs from f_sc" in capsys.readouterr().err
 
 
 def test_coupling_grid_mismatch_exit_3(tmp_path, capsys):

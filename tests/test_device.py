@@ -536,13 +536,22 @@ def _edit_missing_header(lines):
     return [lines[0]] + lines[2:]
 
 
+def _set_header(key, value):
+    def edit(lines):
+        return [f"{key} = {value}" if line.startswith(f"{key} =") else line for line in lines]
+    return edit
+
+
 @pytest.mark.parametrize("edit, message", [
     (_edit_duplicate_header, "{path}:2: duplicate header 'profile_format'"),
     (_edit_unknown_header, "{path}:2: unknown field-profile header 'sauce'"),
     (_edit_non_numeric_cell, "{path}:9: non-numeric cell data"),
     (_edit_key_value_in_data, "{path}:7: expected 18 columns, got 3"),
     (_edit_missing_header, "{path}: missing field-profile headers ['source']"),
-], ids=["duplicate-header", "unknown-header", "non-numeric-cell", "key-value-in-data", "missing-header"])
+    (_set_header("cell_count", "ten"), "{path}: cell_count: 'ten' is not an integer"),
+    (_set_header("frequency_hz", "4.31 GHz"), "{path}: frequency_hz: '4.31 GHz' is not a number"),
+], ids=["duplicate-header", "unknown-header", "non-numeric-cell", "key-value-in-data", "missing-header",
+        "cell-count-not-an-integer", "frequency-not-a-number"])
 def test_field_profile_reader_messages(tmp_path, edit, message):
     path, lines = two_cell_lines(tmp_path)
     path.write_text("\n".join(edit(lines)) + "\n")
@@ -556,6 +565,14 @@ def test_field_profile_reader_cell_errors_come_before_header_errors(tmp_path):
     lines = _edit_missing_header(lines)
     path.write_text("\n".join(lines + ["1 2 3"]) + "\n")
     with pytest.raises(ConfigError, match=r":7: expected 18 columns, got 3$"):
+        read_field_profile(path)
+
+
+@pytest.mark.parametrize("key, value", [("cell_count", "ten"), ("frequency_hz", "4.31 GHz")])
+def test_field_profile_reader_cell_errors_come_before_header_conversions(tmp_path, key, value):
+    path, lines = two_cell_lines(tmp_path)
+    path.write_text("\n".join(_set_header(key, value)(lines) + ["1 2 3"]) + "\n")
+    with pytest.raises(ConfigError, match=r":8: expected 18 columns, got 3$"):
         read_field_profile(path)
 
 

@@ -237,18 +237,17 @@ def test_hierarchy_honours_spin_decay_model():
     base = rates(g_scp=10e6, lossless=False)
     q_grid = [1e4, 1e5]
     delta_p, delta_i = 30e6, 1e9
-    rep = protocol_hierarchy(
-        base, q_grid, OPTS, delta_p=delta_p, delta_i=delta_i, spin_decay_model="dephasing"
-    )
+    dephasing = SimOptions(spin_decay_model="dephasing")
+    rep = protocol_hierarchy(base, q_grid, dephasing, delta_p=delta_p, delta_i=delta_i)
     for i, q in enumerate(q_grid):
         rates_q = replace(base, kappa_p=kappa_from_q(base.f_p, q))
         matched = replace(rates_q, g_scp=rates_q.g_pe)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TransducerWarning)
             runs = (
-                run_resonant(matched, OPTS, spin_decay_model="dephasing"),
-                run_virtual(matched, delta_p, OPTS, spin_decay_model="dephasing"),
-                run_double_rabi(rates_q, delta_i, OPTS, spin_decay_model="dephasing"),
+                run_resonant(matched, dephasing),
+                run_virtual(matched, delta_p, dephasing),
+                run_double_rabi(rates_q, delta_i, dephasing),
             )
         for k, res in enumerate(runs):
             assert abs(rep.fidelities[k, i] - res.f_e_max) <= 1e-12
