@@ -34,7 +34,6 @@ from .dynamics import (
     Trajectory,
     build_rotating_hamiltonian,
     evolve,
-    propagate_segment,
 )
 from .errors import (
     ConfigError,
@@ -63,17 +62,12 @@ from .qops import (
     annihilator,
     basis_ket,
     embed,
-    fidelity_pure,
-    identity,
 )
 from .spin import (
     SpinEigenSystem,
     SpinParams,
-    StrainCoupling,
     analytic_eigensystem,
-    build_spin_hamiltonian,
     field_for_splitting,
     spin_phonon_coupling,
-    strain_components,
     strain_hamiltonian,
 )

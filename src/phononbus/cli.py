@@ -97,14 +97,14 @@ def _cmd_simulate(cfg: RunConfig, out_dir: Path) -> list[Path]:
         result = run_resonant(cfg.rates, options, proto.horizon)
     elif proto.kind == VIRTUAL_PHONON:
         if proto.delta_p is None:
-            raise ConfigError("[protocol] delta_p_hz is required for the virtual-phonon protocol")
+            raise ConfigError(f"{cfg.path}: [protocol] delta_p_hz is required for the virtual-phonon protocol")
         result = run_virtual(cfg.rates, proto.delta_p, options, proto.horizon)
     elif proto.kind == DOUBLE_RABI:
         if proto.delta_i is None:
-            raise ConfigError("[protocol] delta_i_hz is required for the double-rabi protocol")
+            raise ConfigError(f"{cfg.path}: [protocol] delta_i_hz is required for the double-rabi protocol")
         result = run_double_rabi(cfg.rates, proto.delta_i, options)
     else:
-        raise ConfigError(f"[protocol] unknown kind '{proto.kind}'")
+        raise ConfigError(f"{cfg.path}: [protocol] unknown kind '{proto.kind}'")
 
     csv_path = out_dir / "trajectory.csv"
     result.trajectory.to_csv(csv_path)
@@ -168,7 +168,7 @@ def _cmd_spin_field(cfg: RunConfig, out_dir: Path) -> list[Path]:
     cfg.require("spin")
     spin = cfg.spin
     if not spin.b_max_grid:
-        raise ConfigError("[spin] b_max_grid_t is required for the spin-field command")
+        raise ConfigError(f"{cfg.path}: [spin] b_max_grid_t is required for the spin-field command")
     params0 = _spin_params(spin, b_x=0.0, b_z=0.0)
     alpha = spin.chi_eff * spin.reference_strain
     h_strain = strain_hamiltonian(alpha, 0.0)
@@ -207,9 +207,9 @@ def _cmd_coupling(cfg: RunConfig, out_dir: Path) -> list[Path]:
     dev = cfg.device
     for key in ("e_profile_path", "t_profile_path", "piezo_path"):
         if getattr(dev, key) is None:
-            raise ConfigError(f"[device] {key} is required for the coupling command")
+            raise ConfigError(f"{cfg.path}: [device] {key} is required for the coupling command")
     if dev.caps is None:
-        raise ConfigError("[device] capacitances (c_s_f, c_j_f, c_idt_f, v_app_v) are required")
+        raise ConfigError(f"{cfg.path}: [device] capacitances (c_s_f, c_j_f, c_idt_f, v_app_v) are required")
 
     e_profile = read_field_profile(dev.e_profile_path)
     t_profile = read_field_profile(dev.t_profile_path)

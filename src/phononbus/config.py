@@ -220,7 +220,8 @@ def parse_run_config(path) -> RunConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file '{path}' does not exist")
-    parser = configparser.ConfigParser(interpolation=None)
+    # no default section: a [DEFAULT] header names an ordinary section, which is unknown
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     parser.optionxform = str
     try:
         with open(path, encoding="utf-8") as fh:
@@ -246,9 +247,12 @@ def parse_run_config(path) -> RunConfig:
         for key, (name, _) in table.items():
             if name in required and key not in raw:
                 raise ConfigError(f"{path}: [{section}] is missing '{key}'")
-        values[section] = {
-            name: parse(section, key, raw[key]) for key, (name, parse) in table.items() if key in raw
-        }
+        try:
+            values[section] = {
+                name: parse(section, key, raw[key]) for key, (name, parse) in table.items() if key in raw
+            }
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
 
     def build(section: str):
         return _build(path, section, _SCHEMA[section][0], values[section]) if section in values else None
@@ -268,7 +272,7 @@ def parse_run_config(path) -> RunConfig:
             if isinstance(device.get(name), Path):
                 device[name] = base / device[name]
                 if not device[name].exists():
-                    raise ConfigError(f"[device] {key}: file '{device[name]}' does not exist")
+                    raise ConfigError(f"{path}: [device] {key}: file '{device[name]}' does not exist")
         if len(device.get("emitter_rotation", DeviceSection.emitter_rotation)) != 9:
             raise ConfigError(f"{path}: [device] emitter_rotation needs 9 entries (row major)")
     output = values.get("output", {})

@@ -228,6 +228,10 @@ def phonon_zero_point_scale(profile: FieldProfile, f_p: float) -> float:
 
 def normalize_phonon_strain(profile: FieldProfile, f_p: float) -> FieldProfile:
     """Rescale the strain channel (and its energy integrand) to single-phonon amplitude."""
+    if not abs(profile.frequency_hz - f_p) <= 0.01 * f_p:  # a NaN frequency fails too
+        raise ValueError(
+            f"profile frequency {profile.frequency_hz} Hz differs from f_p = {f_p} Hz by > 1%"
+        )
     scale = phonon_zero_point_scale(profile, f_p)
     return replace(
         profile,
@@ -273,18 +277,6 @@ def electromechanical_coupling(
             f"overlap integral has relative imaginary residual {abs(integral.imag) / magnitude:.3e}"
         )
     return integral.real / (2.0 * PLANCK_H)
-
-
-def voigt_to_tensor(voigt: np.ndarray) -> np.ndarray:
-    """Symmetric 3x3 tensor from an engineering-shear Voigt 6-vector."""
-    s1, s2, s3, s4, s5, s6 = voigt
-    return np.array(
-        [
-            [s1, s6 / 2.0, s5 / 2.0],
-            [s6 / 2.0, s2, s4 / 2.0],
-            [s5 / 2.0, s4 / 2.0, s3],
-        ]
-    )
 
 
 @dataclass(frozen=True)

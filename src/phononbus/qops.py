@@ -16,9 +16,6 @@ import numpy as np
 
 from .errors import NumericalIntegrityError
 
-# Default tolerance for matrix comparisons (relative Frobenius norm).
-MATRIX_RTOL = 1e-10
-
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=complex)
@@ -95,9 +92,6 @@ class Operator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def is_hermitian(self, rtol: float = MATRIX_RTOL) -> bool:
-        return hermiticity_defect(self.matrix) <= rtol
-
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -123,10 +117,6 @@ class DensityMatrix:
         if abs(tr - 1.0) > 1e-6:
             raise ValueError(f"density matrix trace {tr} is not 1")
         object.__setattr__(self, "matrix", _frozen(m))
-
-
-def identity(layout: SpaceLayout) -> Operator:
-    return Operator(np.eye(layout.dim, dtype=complex), layout)
 
 
 def annihilator(n_levels: int) -> Operator:
@@ -171,22 +161,3 @@ def basis_ket(labels, layout: SpaceLayout) -> DensityMatrix:
     m = np.zeros((layout.dim, layout.dim), dtype=complex)
     m[idx, idx] = 1.0
     return DensityMatrix(m, layout)
-
-
-def fidelity_pure(rho: DensityMatrix, target_labels) -> float:
-    """<psi|rho|psi> for a product basis target, i.e. one diagonal element.
-
-    Raises NumericalIntegrityError if rho drifted from Hermiticity or the
-    diagonal element grew an imaginary part beyond 1e-10.
-    """
-    defect = hermiticity_defect(rho.matrix)
-    if defect > 1e-10:
-        raise NumericalIntegrityError(
-            f"state is not Hermitian (relative defect {defect:.3e})"
-        )
-    val = rho.matrix[rho.layout.index(target_labels), rho.layout.index(target_labels)]
-    if abs(val.imag) > 1e-10:
-        raise NumericalIntegrityError(
-            f"diagonal element has imaginary part {val.imag:.3e}"
-        )
-    return float(val.real)

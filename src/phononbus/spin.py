@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -69,29 +68,6 @@ class SpinParams:
 
 
 @dataclass(frozen=True)
-class StrainCoupling:
-    """Strain susceptibilities of the emitter (Hz per unit strain)."""
-
-    t_perp: float
-    t_par: float
-    d: float
-    f: float
-    chi_eff: float         # effective transverse susceptibility for g_pe
-
-    def __post_init__(self):
-        if self.chi_eff <= 0:
-            raise ValueError("chi_eff must be positive")
-
-
-class StrainTerms(NamedTuple):
-    """Strain-induced energy terms (Hz)."""
-
-    alpha: float
-    beta: float
-    gamma: float
-
-
-@dataclass(frozen=True)
 class SpinEigenSystem:
     """Closed-form eigensystem of the spin Hamiltonian.
 
@@ -119,23 +95,6 @@ class SpinEigenSystem:
     def splitting(self) -> float:
         """Qubit splitting nu_3 - nu_1 (Hz), nonnegative by ordering."""
         return float(self.eigenvalues[2] - self.eigenvalues[0])
-
-
-def build_spin_hamiltonian(params: SpinParams) -> Operator:
-    """4x4 spin-orbit + Zeeman Hamiltonian in the (ex up, ex dn, ey up, ey dn) basis."""
-    lam = params.lam
-    gz = params.gamma_s * params.b_z
-    gx = params.gamma_s * params.b_x
-    h = np.array(
-        [
-            [gz, gx, -1j * lam, 0.0],
-            [gx, -gz, 0.0, 1j * lam],
-            [1j * lam, 0.0, gz, gx],
-            [0.0, -1j * lam, gx, -gz],
-        ],
-        dtype=complex,
-    )
-    return Operator(h, _LAYOUT4)
 
 
 def _branch_pairs(lam_b: float, gx: float, s: float):
@@ -216,25 +175,6 @@ def spin_phonon_coupling(eigsys: SpinEigenSystem, h_strain: Operator) -> float:
         )
     element = m[:, 2].conj() @ (h_strain.matrix @ m[:, 0])
     return float(abs(element))
-
-
-def strain_components(strain_tensor: np.ndarray, sus: StrainCoupling) -> StrainTerms:
-    """Map a symmetric strain tensor (emitter frame) to (alpha, beta, gamma).
-
-    alpha = t_perp (e_xx + e_yy) + t_par e_zz
-    beta  = d (e_xx - e_yy) + f e_zx
-    gamma = -2 d e_xy + f e_yz
-    """
-    eps = np.asarray(strain_tensor, dtype=float)
-    if eps.shape != (3, 3):
-        raise ValueError(f"strain tensor must be 3x3, got {eps.shape}")
-    asym = np.abs(eps - eps.T).max()
-    if asym > 1e-12 * max(1.0, np.abs(eps).max()):
-        raise ValueError(f"strain tensor is not symmetric (asymmetry {asym:.3e})")
-    alpha = sus.t_perp * (eps[0, 0] + eps[1, 1]) + sus.t_par * eps[2, 2]
-    beta = sus.d * (eps[0, 0] - eps[1, 1]) + sus.f * eps[2, 0]
-    gamma = -2.0 * sus.d * eps[0, 1] + sus.f * eps[1, 2]
-    return StrainTerms(alpha, beta, gamma)
 
 
 def splitting_at_angle(params_sans_b: SpinParams, b_mag: float, theta: float) -> float:

@@ -113,19 +113,19 @@ SPIN_REQUIRED = "[spin]\nlambda_g_hz = 425e9\ngamma_s_hz_per_t = 56e9\nchi_eff_h
 # (id, config body, the exact ConfigError text: {path} is the config file, {dir} its directory)
 CONFIG_ERROR_ROWS = [
     ("rate-missing", RATES_BLOCK.replace("g_pe_hz = 3e6\n", ""), "{path}: [rates] is missing 'g_pe_hz'"),
-    ("rate-non-numeric", RATES_BLOCK.replace("= 100e3", "= fast"), "[rates] kappa_sc_hz: 'fast' is not a number"),
-    ("rate-non-finite", RATES_BLOCK.replace("= 43.1e3", "= inf"), "[rates] kappa_p_hz: 'inf' is not a finite number"),
+    ("rate-non-numeric", RATES_BLOCK.replace("= 100e3", "= fast"), "{path}: [rates] kappa_sc_hz: 'fast' is not a number"),
+    ("rate-non-finite", RATES_BLOCK.replace("= 43.1e3", "= inf"), "{path}: [rates] kappa_p_hz: 'inf' is not a finite number"),
     ("rate-negative", RATES_BLOCK.replace("= 100e3", "= -1.0"), "{path}: [rates]: kappa_sc must be nonnegative"),
     ("rate-zero-frequency", RATES_BLOCK.replace("f_p_hz = 4.31e9", "f_p_hz = 0"), "{path}: [rates]: f_p must be positive"),
     ("rate-bad-and-missing", RATES_BLOCK.replace("= 100e3", "= fast").replace("g_pe_hz = 3e6\n", ""),
      "{path}: [rates] is missing 'g_pe_hz'"),
     ("protocol-without-kind", "[protocol]\ndelta_p_hz = 30e6\n", "{path}: [protocol] is missing 'kind'"),
     ("protocol-non-numeric", "[protocol]\nkind = virtual-phonon\ndelta_p_hz = 30 MHz\n",
-     "[protocol] delta_p_hz: '30 MHz' is not a number"),
+     "{path}: [protocol] delta_p_hz: '30 MHz' is not a number"),
     ("sim-method", "[sim]\nmethod = rk4\n", "{path}: [sim]: unknown integration method 'rk4'"),
     ("sim-spin-decay-model", "[sim]\nspin_decay_model = foo\n",
      "{path}: [sim]: unknown spin decay model 'foo'"),
-    ("sim-n_ph-fraction", "[sim]\nn_ph = 3.5\n", "[sim] n_ph: '3.5' is not an integer"),
+    ("sim-n_ph-fraction", "[sim]\nn_ph = 3.5\n", "{path}: [sim] n_ph: '3.5' is not an integer"),
     ("sim-n_ph-range", "[sim]\nn_ph = 12\n", "{path}: [sim]: phonon truncation n_ph must lie in [2, 8]"),
     ("sim-rel_tol", "[sim]\nrel_tol = 1\n", "{path}: [sim]: rel_tol must lie in (0, 1e-4]"),
     ("sim-sample_dt", "[sim]\nsample_dt_s = 0\n", "{path}: [sim]: sample_dt must be positive"),
@@ -133,26 +133,27 @@ CONFIG_ERROR_ROWS = [
     ("sweep-without-values", "[sweep]\nkind = delta-i\n", "{path}: [sweep] is missing 'values'"),
     ("sweep-unknown-kind", "[sweep]\nkind = delta-q\nvalues = 1\n",
      "{path}: [sweep] kind must be one of ('delta-i', 'delta-p', 'delta-g', 'hierarchy')"),
-    ("sweep-empty-list", "[sweep]\nkind = delta-i\nvalues = ,\n", "[sweep] values: empty list"),
-    ("sweep-non-numeric", "[sweep]\nkind = delta-i\nvalues = 1e9, x\n", "[sweep] values: 'x' is not a number"),
+    ("sweep-empty-list", "[sweep]\nkind = delta-i\nvalues = ,\n", "{path}: [sweep] values: empty list"),
+    ("sweep-non-numeric", "[sweep]\nkind = delta-i\nvalues = 1e9, x\n", "{path}: [sweep] values: 'x' is not a number"),
     ("spin-missing", SPIN_REQUIRED.replace("gamma_s_hz_per_t = 56e9\n", ""),
      "{path}: [spin] is missing 'gamma_s_hz_per_t'"),
-    ("spin-non-numeric", SPIN_REQUIRED + "b_z_t = strong\n", "[spin] b_z_t: 'strong' is not a number"),
+    ("spin-non-numeric", SPIN_REQUIRED + "b_z_t = strong\n", "{path}: [spin] b_z_t: 'strong' is not a number"),
     ("caps-partial", "[device]\nc_s_f = 100e-15\n",
      "{path}: [device] capacitance block is missing ['c_j_f', 'c_idt_f', 'v_app_v']"),
     ("caps-negative", CAPS_BLOCK.replace("c_j_f = 5e-15", "c_j_f = -5e-15"), "{path}: [device]: c_j must be positive"),
     ("device-missing-file", "[device]\npiezo_path = nope.txt\n",
-     "[device] piezo_path: file '{dir}/nope.txt' does not exist"),
+     "{path}: [device] piezo_path: file '{dir}/nope.txt' does not exist"),
     ("device-rotation-3", "[device]\nemitter_rotation = 1, 0, 0\n",
      "{path}: [device] emitter_rotation needs 9 entries (row major)"),
     ("device-spectator-malformed", "[device]\nspectator_modes = 1e6:2e9, 3e6\n",
-     "[device] spectator_modes: expected 'a:b' pairs, got '3e6'"),
-    ("device-spectator-empty", "[device]\nspectator_modes = ,\n", "[device] spectator_modes: empty pair list"),
+     "{path}: [device] spectator_modes: expected 'a:b' pairs, got '3e6'"),
+    ("device-spectator-empty", "[device]\nspectator_modes = ,\n", "{path}: [device] spectator_modes: empty pair list"),
     ("qbudget-without-q_clamp", "[qbudget]\nq_akhiezer = 1e7\n", "{path}: [qbudget] is missing 'q_clamp'"),
     ("qbudget-participation", "[qbudget]\nq_clamp = 1e5\ntls_channels = 1.5:1e5\n",
      "{path}: [qbudget]: participation 1.5 outside [0, 1]"),
     ("unknown-key", "[protocol]\nkind = resonant\nfoo = 1\n", "{path}: unknown key 'foo' in [protocol]"),
     ("unknown-section", RATES_BLOCK + "[rates2]\nx = 1\n", "{path}: unknown section [rates2]"),
+    ("default-section", "[DEFAULT]\nkind = resonant\n" + RATES_BLOCK, "{path}: unknown section [DEFAULT]"),
 ]
 
 
@@ -167,6 +168,40 @@ def test_config_error_messages(tmp_path, capsys, body, message):
     assert str(err.value) == expected
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.splitlines() == [f"error: {expected}"]
+
+
+DEMO_FILES = "".join(
+    f"{key} = {REPO_CONFIGS / 'data' / name}\n"
+    for key, name in (("e_profile_path", "demo_e_profile.txt"), ("t_profile_path", "demo_t_profile.txt"),
+                      ("piezo_path", "scaln_piezo.txt"))
+)
+
+# (id, command, config body, the exact error text of a config that parses but that the command cannot run)
+COMMAND_ERROR_ROWS = [
+    ("virtual-without-delta_p", "simulate", RATES_BLOCK + "[protocol]\nkind = virtual-phonon\n",
+     "{path}: [protocol] delta_p_hz is required for the virtual-phonon protocol"),
+    ("double-rabi-without-delta_i", "simulate", RATES_BLOCK + "[protocol]\nkind = double-rabi\n",
+     "{path}: [protocol] delta_i_hz is required for the double-rabi protocol"),
+    ("unknown-protocol", "simulate", RATES_BLOCK + "[protocol]\nkind = teleport\n",
+     "{path}: [protocol] unknown kind 'teleport'"),
+    ("spin-field-without-grid", "spin-field", SPIN_REQUIRED,
+     "{path}: [spin] b_max_grid_t is required for the spin-field command"),
+    ("coupling-without-profile", "coupling", RATES_BLOCK + SPIN_REQUIRED + CAPS_BLOCK,
+     "{path}: [device] e_profile_path is required for the coupling command"),
+    ("coupling-without-caps", "coupling", RATES_BLOCK + SPIN_REQUIRED + "[device]\n" + DEMO_FILES,
+     "{path}: [device] capacitances (c_s_f, c_j_f, c_idt_f, v_app_v) are required"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, body, message", [row[1:] for row in COMMAND_ERROR_ROWS], ids=[row[0] for row in COMMAND_ERROR_ROWS]
+)
+def test_command_config_error_messages(tmp_path, capsys, command, body, message):
+    path = write_config(tmp_path, body)
+    out_dir = tmp_path / "o"
+    assert main([command, "--config", str(path), "--out", str(out_dir)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message.format(path=path)}"]
+    assert not (out_dir / "manifest.json").exists()
 
 
 # ------------------------------------------------------------- simulate
@@ -334,9 +369,10 @@ def test_hierarchy_records_a_failed_run_and_keeps_going(tmp_path, monkeypatch):
 def test_non_finite_numbers_exit_2(tmp_path, capsys, body):
     command = "simulate" if "[protocol]" in body else "sweep"
     out_dir = tmp_path / "o"
-    assert main([command, "--config", str(write_config(tmp_path, body)), "--out", str(out_dir)]) == 2
+    path = write_config(tmp_path, body)
+    assert main([command, "--config", str(path), "--out", str(out_dir)]) == 2
     error = capsys.readouterr().err.strip().splitlines()[-1]
-    assert error.startswith("error: [") and "is not a finite number" in error
+    assert error.startswith(f"error: {path}: [") and "is not a finite number" in error
     assert ("kappa_p_hz" in error) if command == "simulate" else ("[sweep] values" in error)
     assert not (out_dir / "manifest.json").exists()
 
@@ -507,6 +543,21 @@ def test_coupling_checks_the_photon_profile_frequency(tmp_path, capsys, frequenc
     assert main(["coupling", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == code
     if code:
         assert f"profile frequency {float(frequency)} Hz differs from f_sc" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("frequency, code", [("4310000000.0", 0), ("nan", 2), ("9e9", 2), ("4.34e9", 0)])
+def test_coupling_checks_the_strain_profile_frequency(tmp_path, capsys, frequency, code):
+    shutil.copytree(REPO_CONFIGS / "data", tmp_path / "data")
+    t_profile = tmp_path / "data" / "demo_t_profile.txt"
+    text = t_profile.read_text()
+    assert "frequency_hz = 4310000000.0\n" in text
+    t_profile.write_text(text.replace("frequency_hz = 4310000000.0\n", f"frequency_hz = {frequency}\n"))
+    cfg_path = write_config(tmp_path, (REPO_CONFIGS / "coupling.ini").read_text())
+    assert main(["coupling", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == code
+    if code:
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: profile frequency {float(frequency)} Hz differs from f_p = 4310000000.0 Hz by > 1%"
+        ]
 
 
 def test_coupling_grid_mismatch_exit_3(tmp_path, capsys):

@@ -23,7 +23,6 @@ from phononbus.device import (
     read_piezo_tensor,
     spin_coupling_map,
     transmon_frequency,
-    voigt_to_tensor,
     write_field_profile,
 )
 from phononbus.errors import (
@@ -256,6 +255,18 @@ def test_spin_map_hydrostatic_blind():
     q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
     out = spin_coupling_map(prof, 0.27e15, q)
     assert abs(out.g_pe[0]) < 1e-9
+
+
+def voigt_to_tensor(voigt):
+    """Symmetric 3x3 tensor from an engineering-shear Voigt 6-vector: the reference for the spin map."""
+    s1, s2, s3, s4, s5, s6 = voigt
+    return np.array(
+        [
+            [s1, s6 / 2.0, s5 / 2.0],
+            [s6 / 2.0, s2, s4 / 2.0],
+            [s5 / 2.0, s4 / 2.0, s3],
+        ]
+    )
 
 
 def test_spin_map_z_rotation_covariance():

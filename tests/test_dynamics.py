@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from phononbus import dynamics
 from phononbus.device import SystemRates
 from phononbus.dynamics import (
+    SPIN_DECAY_MODELS,
     TWO_PI,
     DetuningSchedule,
+    Evolution,
     LindbladModel,
     Segment,
     SimOptions,
@@ -14,7 +18,6 @@ from phononbus.dynamics import (
     evolve,
     jump_operators,
     liouvillian,
-    propagate_segment,
     sample_times,
     tripartite_operators,
     write_csv,
@@ -169,9 +172,9 @@ def test_spin_dephasing_variant_keeps_population_kills_coherence():
     rho0 = DensityMatrix(np.outer(psi, psi.conj()), LAYOUT)
     traj = evolve(model, rho0, SimOptions(sample_dt=horizon / 100))
     np.testing.assert_allclose(traj.p_e, 0.5, atol=1e-10)      # population frozen
-    seg = Segment(0.0, horizon)
-    rho_end = propagate_segment(model, rho0, seg, SimOptions())
-    coh = abs(rho_end.matrix[IDX_100, IDX_001])
+    evolution = Evolution(model, rho0, SimOptions())
+    i100, i001 = (np.flatnonzero(evolution.block == idx)[0] for idx in (IDX_100, IDX_001))
+    coh = abs(evolution.block_state(horizon)[i100, i001])
     assert coh == pytest.approx(0.5 * np.exp(-TWO_PI * kappa_e * horizon), rel=1e-9)
 
 
@@ -184,14 +187,7 @@ def test_energy_decay_variant_depletes_population():
     np.testing.assert_allclose(traj.p_e, np.exp(-TWO_PI * kappa_e * traj.times), rtol=1e-9)
 
 
-# ------------------------------------------------------- propagate_segment
-
-def test_zero_duration_segment_is_identity():
-    model = make_model(make_rates(kappa_sc=1e5), 1e-7)
-    rho0 = basis_ket((1, 0, 0), LAYOUT)
-    out = propagate_segment(model, rho0, Segment(0.0, 0.0), SimOptions())
-    np.testing.assert_array_equal(out.matrix, rho0.matrix)
-
+# ---------------------------------------------------- one segment's end state
 
 def test_pure_hamiltonian_segment_matches_unitary_route():
     # oracle: U rho U+ with U = expm(-i H t), independent of the superoperator path
@@ -199,31 +195,32 @@ def test_pure_hamiltonian_segment_matches_unitary_route():
     model = make_model(rates, 1e-7, d_sc=5e6, d_p=12e6)
     seg = model.schedule.segments[0]
     rho0 = basis_ket((1, 0, 0), LAYOUT)
-    got = propagate_segment(model, rho0, seg, SimOptions()).matrix
+    evolution = Evolution(model, rho0, SimOptions())
+    got = evolution.block_state(seg.duration)
     h = build_rotating_hamiltonian(rates, (seg.delta_sc, seg.delta_e, seg.delta_p), LAYOUT).matrix
     u = expm(-1j * h * seg.duration)
     want = u @ rho0.matrix @ u.conj().T
-    assert np.abs(got - want).max() <= 1e-10
+    inside = np.ix_(evolution.block, evolution.block)
+    assert np.abs(got - want[inside]).max() <= 1e-10
+    want[inside] = 0.0
+    assert np.abs(want).max() <= 1e-10      # nothing outside the block
 
 
 def test_decay_only_segment_matches_closed_form():
     kappa = 2e5
     model = make_model(make_rates(kappa_sc=kappa, g_scp=0.0, g_pe=0.0), 1e-6)
-    seg = Segment(0.0, 7e-7)
-    out = propagate_segment(model, basis_ket((1, 0, 0), LAYOUT), seg, SimOptions())
-    assert out.matrix[IDX_100, IDX_100].real == pytest.approx(
-        np.exp(-TWO_PI * kappa * seg.duration), rel=1e-12
-    )
+    evolution = Evolution(model, basis_ket((1, 0, 0), LAYOUT), SimOptions())
+    assert evolution.population((1, 0, 0), 7e-7) == pytest.approx(np.exp(-TWO_PI * kappa * 7e-7), rel=1e-12)
 
 
 def test_propagate_segment_methods_agree():
     rates = make_rates(kappa_sc=1e5, kappa_p=43.1e3, kappa_e=1e6)
     model = make_model(rates, 1e-7, d_p=30e6)
-    seg = model.schedule.segments[0]
     rho0 = basis_ket((1, 0, 0), LAYOUT)
     rel_tol = 1e-8
-    a = propagate_segment(model, rho0, seg, SimOptions(rel_tol=rel_tol)).matrix
-    b = propagate_segment(model, rho0, seg, SimOptions(method="adaptive-stepper", rel_tol=rel_tol)).matrix
+    end = model.schedule.duration
+    a = Evolution(model, rho0, SimOptions(rel_tol=rel_tol)).block_state(end)
+    b = Evolution(model, rho0, SimOptions(method="adaptive-stepper", rel_tol=rel_tol)).block_state(end)
     assert np.abs(a - b).max() <= rel_tol
 
 
@@ -270,13 +267,6 @@ def test_sim_options_validation():
         SimOptions(n_ph=9)
 
 
-def test_custom_fidelity_targets():
-    model = make_model(make_rates(), 1e-8)
-    traj = evolve(model, basis_ket((1, 0, 0), LAYOUT), SimOptions(sample_dt=2e-9), targets=[(0, 2, 0)])
-    assert "020" in traj.fidelities
-    assert traj.fidelities["020"].max() <= 1e-12  # two-phonon state never populated
-
-
 def test_tripartite_operator_shapes():
     ops = tripartite_operators(LAYOUT)
     assert ops["n_sc"].shape == (12, 12)
@@ -311,6 +301,32 @@ def block_start(name, layout):
     return basis_ket(tuple(int(c) for c in name), layout)
 
 
+def assert_block_kernel_matches_full_liouvillian(model, rho0, options):
+    """evolve's samples and the block's end state against full-space expm steps, within 1e-10."""
+    layout = model.layout
+    traj = evolve(model, rho0, options)
+    ref = full_space_reference(model, rho0)
+    assert traj.times.size == len(ref)
+
+    ops = tripartite_operators(layout)
+    for name, got in (("n_sc", traj.p_sc), ("n_p", traj.p_p), ("n_e", traj.p_e)):
+        want = [np.trace(ops[name] @ r).real for r in ref]
+        assert np.abs(got - want).max() <= 1e-10, name
+    for key, got in traj.fidelities.items():
+        idx = layout.index(tuple(int(c) for c in key))
+        assert np.abs(got - [r[idx, idx].real for r in ref]).max() <= 1e-10, key
+    assert np.abs(traj.trace_errs - [abs(np.trace(r) - 1) for r in ref]).max() <= 1e-10
+    assert np.abs(traj.min_eigenvalues - [np.linalg.eigvalsh(r)[0] for r in ref]).max() <= 1e-10
+
+    evolution = Evolution(model, rho0, options)
+    segments = model.schedule.segments
+    for seg in segments:
+        assert evolution.population((1, 1, 1), seg.t_end) == 0.0   # outside every start's block
+    end = np.zeros_like(ref[-1])
+    end[np.ix_(evolution.block, evolution.block)] = evolution.block_state(segments[-1].t_end)
+    assert np.abs(end - ref[-1]).max() <= 1e-10
+
+
 @pytest.mark.parametrize("start", ["100", "100+001", "110"])
 @pytest.mark.parametrize("spin_decay", ["energy", "dephasing"])
 @pytest.mark.parametrize("n_ph", [2, 3, 4])
@@ -322,27 +338,37 @@ def test_block_kernel_matches_full_liouvillian(n_ph, spin_decay, start):
         Segment(4e-8, 1e-7, delta_sc=-15e6, delta_p=-8e6),
     )
     model = LindbladModel(rates, layout, DetuningSchedule(segments), spin_decay)
-    rho0 = block_start(start, layout)
     options = SimOptions(n_ph=n_ph, sample_dt=BLOCK_DT)
-    traj = evolve(model, rho0, options, targets=[(1, 1, 1)])
-    ref = full_space_reference(model, rho0)
-    assert traj.times.size == len(ref)
+    assert_block_kernel_matches_full_liouvillian(model, block_start(start, layout), options)
 
-    ops = tripartite_operators(layout)
-    for name, got in (("n_sc", traj.p_sc), ("n_p", traj.p_p), ("n_e", traj.p_e)):
-        want = [np.trace(ops[name] @ r).real for r in ref]
-        assert np.abs(got - want).max() <= 1e-10, name
-    for key, got in traj.fidelities.items():
-        idx = layout.index(tuple(int(c) for c in key))
-        assert np.abs(got - [r[idx, idx].real for r in ref]).max() <= 1e-10, key
-    np.testing.assert_array_equal(traj.fidelities["111"], 0.0)   # outside every start's block
-    assert np.abs(traj.trace_errs - [abs(np.trace(r) - 1) for r in ref]).max() <= 1e-10
-    assert np.abs(traj.min_eigenvalues - [np.linalg.eigvalsh(r)[0] for r in ref]).max() <= 1e-10
 
-    rho = rho0
-    for seg in segments:
-        rho = propagate_segment(model, rho, seg, options)
-    assert np.abs(rho.matrix - ref[-1]).max() <= 1e-10
+KAPPA = st.floats(0.0, 2e6)
+COUPLING = st.floats(0.0, 1e7)
+DETUNING = st.floats(-3e7, 3e7)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(
+    n_ph=st.integers(2, 4),
+    spin_decay=st.sampled_from(SPIN_DECAY_MODELS),
+    start=st.sampled_from(["100", "100+001", "110"]),
+    kappas=st.tuples(KAPPA, KAPPA, KAPPA),
+    couplings=st.tuples(COUPLING, COUPLING),
+    spans=st.lists(st.tuples(st.integers(1, 25), DETUNING, DETUNING, DETUNING), min_size=1, max_size=3),
+)
+# a weakly damped two-excitation block: nearly degenerate eigenvalues, cond(V) ~ 3e7
+@example(n_ph=3, spin_decay="energy", start="110", kappas=(1.0, 0.0, 0.0), couplings=(857034.0, 0.0),
+         spans=[(1, 0.0, 0.0, 0.0)])
+def test_block_kernel_matches_full_liouvillian_on_random_runs(n_ph, spin_decay, start, kappas, couplings, spans):
+    layout = SpaceLayout.tripartite(n_ph)
+    rates = make_rates(*kappas, *couplings)
+    segments, steps = [], 0      # spans: (length in BLOCK_DT steps, delta_sc, delta_e, delta_p)
+    for n, d_sc, d_e, d_p in spans:
+        segments.append(Segment(steps * BLOCK_DT, (steps + n) * BLOCK_DT, d_sc, d_e, d_p))
+        steps += n
+    model = LindbladModel(rates, layout, DetuningSchedule(tuple(segments)), spin_decay)
+    options = SimOptions(n_ph=n_ph, sample_dt=BLOCK_DT)
+    assert_block_kernel_matches_full_liouvillian(model, block_start(start, layout), options)
 
 
 def test_exceptional_point_takes_the_expm_fallback(monkeypatch):

