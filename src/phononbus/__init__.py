@@ -1,6 +1,6 @@
 """Simulation toolkit for a transmon-phonon-spin quantum transducer.
 
-Subpackages by concern: :mod:`qops` (dense operator algebra),
+Modules by concern: :mod:`qops` (dense operator algebra),
 :mod:`spin` (emitter eigensystem and strain coupling), :mod:`device`
 (zero-point normalizations, overlap couplings, loss budget),
 :mod:`dynamics` (master-equation evolution), :mod:`protocols` (the three
@@ -48,7 +48,6 @@ from .errors import (
 from .protocols import (
     HierarchyReport,
     ProtocolResult,
-    ProtocolSpec,
     protocol_hierarchy,
     run_double_rabi,
     run_resonant,
@@ -56,8 +55,6 @@ from .protocols import (
     sweep,
 )
 from .qops import (
-    DensityMatrix,
-    Operator,
     SpaceLayout,
     annihilator,
     basis_ket,

@@ -217,8 +217,14 @@ def _cmd_coupling(cfg: RunConfig, out_dir: Path) -> list[Path]:
 
     photon_scale = photon_zero_point_scale(dev.caps, cfg.rates.f_sc)
     phonon_scale = phonon_zero_point_scale(t_profile, cfg.rates.f_p)
-    e_norm = normalize_photon_field(e_profile, dev.caps, cfg.rates.f_sc)
-    t_norm = normalize_phonon_strain(t_profile, cfg.rates.f_p)
+    try:
+        e_norm = normalize_photon_field(e_profile, dev.caps, cfg.rates.f_sc)
+    except ValueError as exc:
+        raise ValueError(f"{dev.e_profile_path}: {exc}") from exc
+    try:
+        t_norm = normalize_phonon_strain(t_profile, cfg.rates.f_p)
+    except ValueError as exc:
+        raise ValueError(f"{dev.t_profile_path}: {exc}") from exc
 
     g_scp = electromechanical_coupling(e_norm, t_norm, piezo)
     rotation = np.asarray(dev.emitter_rotation, dtype=float).reshape(3, 3)

@@ -81,7 +81,7 @@ class RunConfig:
     resolved: dict = field(default_factory=dict)
 
     def require(self, *sections: str) -> None:
-        missing = [s for s in sections if getattr(self, s if s != "output" else "output_dir") is None]
+        missing = [s for s in sections if getattr(self, s) is None]
         if missing:
             raise ConfigError(
                 f"{self.path}: command needs config section(s) {missing}"
@@ -226,7 +226,7 @@ def parse_run_config(path) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
     for section in parser.sections():

@@ -429,6 +429,14 @@ def _parse_cells(path: Path, lines: list[str], start: int) -> np.ndarray:
     return np.asarray(rows, dtype=float)
 
 
+def _read_lines(path: Path) -> list[str]:
+    """The lines of a UTF-8 text file; other bytes are a ConfigError naming the file."""
+    try:
+        return path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 def read_field_profile(path) -> FieldProfile:
     """Parse the v1 field-profile format; unknown header keys are rejected.
 
@@ -438,7 +446,7 @@ def read_field_profile(path) -> FieldProfile:
     Cell errors are reported before header errors.
     """
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = _read_lines(path)
     header: dict[str, str] = {}
     start = len(lines)
     for lineno, raw in enumerate(lines, start=1):
@@ -499,7 +507,7 @@ def read_piezo_tensor(path) -> PiezoTensor:
     path = Path(path)
     declared = False
     rows = []
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(_read_lines(path), start=1):
         stripped = raw.strip()
         if stripped.startswith("#"):
             if "engineering" in stripped:

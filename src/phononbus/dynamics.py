@@ -37,8 +37,8 @@ from typing import Iterable
 import numpy as np
 
 from .device import SystemRates
-from .errors import IntegrationError
-from .qops import DensityMatrix, Operator, SpaceLayout, annihilator, embed, sigma_z
+from .errors import IntegrationError, NumericalIntegrityError
+from .qops import SpaceLayout, annihilator, embed, hermiticity_defect, sigma_z
 
 TWO_PI = 2.0 * math.pi
 
@@ -48,6 +48,9 @@ TRAJECTORY_CSV_HEADER = "t_s,P_sc,P_p,P_e,F_sc,F_p,F_e,trace_err"
 
 # Sample times evaluated per batch: bounds the work array at (d_block**2, SAMPLE_CHUNK).
 SAMPLE_CHUNK = 100
+
+# The most sample_dt steps one run may sample; the default sample_dt takes 2000.
+MAX_SAMPLE_STEPS = 1_000_000
 
 # Spin dissipators; see LindbladModel.
 SPIN_DECAY_MODELS = ("energy", "dephasing")
@@ -238,32 +241,29 @@ def tripartite_operators(layout: SpaceLayout) -> dict[str, np.ndarray]:
     sm = annihilator(2)
     a = annihilator(n_ph)
     ops = {
-        "sm_sc": embed(sm, 0, layout).matrix,
-        "a": embed(a, 1, layout).matrix,
-        "sm_e": embed(sm, 2, layout).matrix,
-        "sz_sc": embed(sigma_z(2), 0, layout).matrix,
-        "sz_e": embed(sigma_z(2), 2, layout).matrix,
+        "sm_sc": embed(sm, 0, layout),
+        "a": embed(a, 1, layout),
+        "sm_e": embed(sm, 2, layout),
+        "sz_sc": embed(sigma_z(2), 0, layout),
+        "sz_e": embed(sigma_z(2), 2, layout),
     }
     ops["n_p"] = ops["a"].conj().T @ ops["a"]
-    ops["n_sc"] = ops["sm_sc"].conj().T @ ops["sm_sc"]
-    ops["n_e"] = ops["sm_e"].conj().T @ ops["sm_e"]
     return ops
 
 
 def build_rotating_hamiltonian(
     rates: SystemRates, deltas: tuple[float, float, float], layout: SpaceLayout
-) -> Operator:
+) -> np.ndarray:
     """Rotating-frame Hamiltonian for detunings (delta_sc, delta_e, delta_p), angular units."""
     d_sc, d_e, d_p = deltas
     ops = tripartite_operators(layout)
-    h = TWO_PI * (
+    return TWO_PI * (
         0.5 * d_sc * ops["sz_sc"]
         + 0.5 * d_e * ops["sz_e"]
         + d_p * ops["n_p"]
         + rates.g_scp * (ops["sm_sc"].conj().T @ ops["a"] + ops["a"].conj().T @ ops["sm_sc"])
         + rates.g_pe * (ops["sm_e"].conj().T @ ops["a"] + ops["a"].conj().T @ ops["sm_e"])
     )
-    return Operator(h, layout)
 
 
 def jump_operators(model: LindbladModel) -> list[tuple[float, np.ndarray]]:
@@ -307,7 +307,7 @@ def segment_liouvillian(
     """
     h = build_rotating_hamiltonian(
         model.rates, (segment.delta_sc, segment.delta_e, segment.delta_p), model.layout
-    ).matrix
+    )
     jumps = jump_operators(model)
     if block is not None:
         ix = np.ix_(block, block)
@@ -391,19 +391,31 @@ class Evolution:
     or a near-degenerate spectrum) is marched by expm instead, with one
     exponential per distinct step. With method "adaptive-stepper" a DOP853
     stepper integrates the block.
+
+    rho0 is a (dim, dim) density matrix on ``model.layout``: Hermitian and of
+    unit trace. Positivity is not checked here; evolve monitors it.
+    ``counts`` holds the (n_sc, n_p, n_e) labels of each block state.
     """
 
-    def __init__(self, model: LindbladModel, rho0: DensityMatrix, options: SimOptions):
-        if rho0.layout != model.layout:
-            raise ValueError("initial state layout does not match the model layout")
+    def __init__(self, model: LindbladModel, rho0: np.ndarray, options: SimOptions):
+        m = np.asarray(rho0, dtype=complex)
+        dims = model.layout.dims
+        if m.shape != (model.layout.dim, model.layout.dim):
+            raise ValueError(f"density matrix shape {m.shape} does not match layout {dims}")
+        defect = hermiticity_defect(m)
+        if defect > 1e-10:
+            raise NumericalIntegrityError(f"density matrix is not Hermitian (relative defect {defect:.3e})")
+        tr = m.trace()
+        if abs(tr - 1.0) > 1e-6:
+            raise ValueError(f"density matrix trace {tr} is not 1")
         self.model = model
         self.options = options
         self.segments = model.schedule.segments
-        dims = model.layout.dims
-        excitations = np.indices(dims).reshape(len(dims), -1).sum(axis=0)
-        m = np.asarray(rho0.matrix)
+        labels = np.indices(dims).reshape(len(dims), -1).T
+        excitations = labels.sum(axis=1)
         support = np.any(m != 0, axis=0) | np.any(m != 0, axis=1)
         self.block = np.flatnonzero(excitations <= excitations[support].max())
+        self.counts = labels[self.block].astype(float)
         self._generators: list[tuple | None] = [None] * len(self.segments)
         self._starts: list[np.ndarray | None] = [None] * len(self.segments)
         rho = m[np.ix_(self.block, self.block)]
@@ -475,8 +487,16 @@ class Evolution:
 
 
 def sample_times(duration: float, dt: float) -> np.ndarray:
-    """Uniform grid 0, dt, 2dt, ... always ending exactly at ``duration``."""
-    n_full = int(math.floor(duration / dt + 1e-9))
+    """Uniform grid 0, dt, 2dt, ... always ending exactly at ``duration``.
+
+    More than MAX_SAMPLE_STEPS steps of dt raise ValueError before anything is allocated.
+    """
+    steps = duration / dt
+    if not steps <= MAX_SAMPLE_STEPS:
+        raise ValueError(
+            f"sample_dt {dt} s takes more than {MAX_SAMPLE_STEPS} steps over the {duration} s run"
+        )
+    n_full = int(math.floor(steps + 1e-9))
     ts = dt * np.arange(n_full + 1)
     if ts[-1] > duration or duration - ts[-1] < 1e-9 * dt:
         ts[-1] = duration
@@ -485,8 +505,8 @@ def sample_times(duration: float, dt: float) -> np.ndarray:
     return ts
 
 
-def evolve(model: LindbladModel, rho0: DensityMatrix, options: SimOptions) -> Trajectory:
-    """Integrate the master equation over the model's schedule.
+def evolve(model: LindbladModel, rho0: np.ndarray, options: SimOptions) -> Trajectory:
+    """Integrate the master equation from the (dim, dim) state rho0 over the model's schedule.
 
     Samples every ``options.sample_dt`` (default: duration/2000) through an
     :class:`Evolution`. Each sampled state is symmetrized; trace error and
@@ -501,9 +521,6 @@ def evolve(model: LindbladModel, rho0: DensityMatrix, options: SimOptions) -> Tr
 
     target_pos = {"".join(map(str, t)): evolution._position(t) for t in SINGLE_EXCITATION_TARGETS}
 
-    ops = tripartite_operators(layout)
-    counts = np.stack([np.real(np.diag(ops[k]))[evolution.block] for k in ("n_sc", "n_p", "n_e")], axis=1)
-
     n_samples = ts.size
     pops = np.empty((n_samples, 3))
     fids = {key: np.zeros(n_samples) for key in target_pos}
@@ -513,7 +530,7 @@ def evolve(model: LindbladModel, rho0: DensityMatrix, options: SimOptions) -> Tr
     def record(k: int, rhos: np.ndarray):
         sl = slice(k, k + len(rhos))
         diag = np.real(np.diagonal(rhos, axis1=1, axis2=2))
-        pops[sl] = diag @ counts
+        pops[sl] = diag @ evolution.counts
         for key, j in target_pos.items():
             if j is not None:
                 fids[key][sl] = diag[:, j]

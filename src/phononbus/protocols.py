@@ -50,33 +50,6 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
-class ProtocolSpec:
-    """Which protocol to run, with its control parameter and optional horizon."""
-
-    kind: str
-    rates: SystemRates
-    delta_p: float | None = None     # virtual-phonon detuning (Hz)
-    delta_i: float | None = None     # double-rabi idle detuning (Hz)
-    horizon: float | None = None     # s; per-kind default when omitted
-
-    def __post_init__(self):
-        if self.kind not in (RESONANT, VIRTUAL_PHONON, DOUBLE_RABI):
-            raise ValueError(f"unknown protocol kind '{self.kind}'")
-        for name in ("delta_p", "delta_i", "horizon"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if self.kind == VIRTUAL_PHONON:
-            if self.delta_p is None or self.delta_p == 0.0:
-                raise ValueError("virtual-phonon protocol needs a nonzero delta_p")
-        if self.kind == DOUBLE_RABI:
-            if self.delta_i is None or self.delta_i < 0.0:
-                raise ValueError("double-rabi protocol needs delta_i >= 0")
-        if self.horizon is not None and self.horizon <= 0:
-            raise ValueError("horizon must be positive")
-
-
-@dataclass(frozen=True)
 class ProtocolResult:
     """Peak spin fidelity, its time, the end-of-run fidelity, and the full trajectory."""
 
@@ -84,7 +57,6 @@ class ProtocolResult:
     t_opt: float
     f_e_end: float
     trajectory: Trajectory
-    spec_echo: ProtocolSpec
 
 
 @dataclass(frozen=True)
@@ -166,8 +138,13 @@ def _refine_peak(evolution: Evolution, trajectory: Trajectory) -> tuple[float, f
     return next(p for p in peaks if p[0] >= best - PEAK_TIE)
 
 
-def _run_schedule(spec: ProtocolSpec, schedule: DetuningSchedule, options: SimOptions) -> ProtocolResult:
-    model = LindbladModel(spec.rates, options.layout, schedule, options.spin_decay_model)
+def _check_finite(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+
+
+def _run_schedule(rates: SystemRates, schedule: DetuningSchedule, options: SimOptions) -> ProtocolResult:
+    model = LindbladModel(rates, options.layout, schedule, options.spin_decay_model)
     rho0 = basis_ket((1, 0, 0), model.layout)
     trajectory = evolve(model, rho0, options)
     f_max, t_opt = _refine_peak(Evolution(model, rho0, options), trajectory)
@@ -176,7 +153,6 @@ def _run_schedule(spec: ProtocolSpec, schedule: DetuningSchedule, options: SimOp
         t_opt=t_opt,
         f_e_end=float(trajectory.f_e[-1]),
         trajectory=trajectory,
-        spec_echo=spec,
     )
 
 
@@ -188,9 +164,12 @@ def run_resonant(rates: SystemRates, options: SimOptions, horizon: float | None 
     g_min = min(rates.g_scp, rates.g_pe)
     if g_min <= 0:
         raise ValueError("resonant protocol needs both couplings positive")
-    spec = ProtocolSpec(RESONANT, rates, horizon=horizon)
+    if horizon is not None:
+        _check_finite("horizon", horizon)
+        if horizon <= 0:
+            raise ValueError("horizon must be positive")
     h = horizon if horizon is not None else 1.5 / g_min
-    return _run_schedule(spec, DetuningSchedule.constant(h), options)
+    return _run_schedule(rates, DetuningSchedule.constant(h), options)
 
 
 def run_virtual(
@@ -206,7 +185,13 @@ def run_virtual(
     the peak lands within 5% of the horizon edge the horizon doubles and the
     run repeats (at most 3 retries).
     """
-    spec = ProtocolSpec(VIRTUAL_PHONON, rates, delta_p=delta_p, horizon=horizon)
+    _check_finite("delta_p", delta_p)
+    if horizon is not None:
+        _check_finite("horizon", horizon)
+    if delta_p == 0.0:
+        raise ValueError("virtual-phonon protocol needs a nonzero delta_p")
+    if horizon is not None and horizon <= 0:
+        raise ValueError("horizon must be positive")
     g_max = max(rates.g_scp, rates.g_pe)
     if min(rates.g_scp, rates.g_pe) <= 0:
         raise ValueError("virtual-phonon protocol needs both couplings positive")
@@ -220,7 +205,7 @@ def run_virtual(
     h = horizon if horizon is not None else 3.0 * abs(delta_p) / (4.0 * rates.g_scp * rates.g_pe)
     result = None
     for _ in range(4):
-        result = _run_schedule(spec, DetuningSchedule.constant(h, delta_p=delta_p), options)
+        result = _run_schedule(rates, DetuningSchedule.constant(h, delta_p=delta_p), options)
         if horizon is not None or result.t_opt < 0.95 * h:
             return result
         h *= 2.0
@@ -239,7 +224,7 @@ def run_double_rabi(rates: SystemRates, delta_i: float, options: SimOptions) -> 
         raise ValueError("delta_i must be nonnegative")
     if min(rates.g_scp, rates.g_pe) <= 0:
         raise ValueError("double-rabi protocol needs both couplings positive")
-    spec = ProtocolSpec(DOUBLE_RABI, rates, delta_i=delta_i)
+    _check_finite("delta_i", delta_i)
     t1 = 1.0 / (4.0 * rates.g_scp)
     t2 = 1.0 / (4.0 * rates.g_pe)
     schedule = DetuningSchedule(
@@ -248,7 +233,7 @@ def run_double_rabi(rates: SystemRates, delta_i: float, options: SimOptions) -> 
             Segment(t1, t1 + t2, delta_sc=delta_i, delta_e=0.0),
         )
     )
-    return _run_schedule(spec, schedule, options)
+    return _run_schedule(rates, schedule, options)
 
 
 def _grid_point(

@@ -1,10 +1,9 @@
 """Dense operator algebra on the transmon (x) phonon (x) spin product space.
 
-Operators and density matrices are dense complex numpy arrays tagged with a
-:class:`SpaceLayout` giving the subsystem dimensions. Composite indexing is
-row major, so the product basis state |n_sc, n_p, n_e> sits at flat index
-(n_sc * N_ph + n_p) * 2 + n_e. Everything here is immutable after
-construction; instances can be shared freely between workers.
+Every operator and density matrix is a plain dense complex numpy array; a
+:class:`SpaceLayout` gives the subsystem dimensions and the basis labels.
+Composite indexing is row major, so the product basis state |n_sc, n_p, n_e>
+sits at flat index (n_sc * N_ph + n_p) * 2 + n_e.
 """
 
 from __future__ import annotations
@@ -13,14 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import NumericalIntegrityError
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=complex)
-    a.setflags(write=False)
-    return a
 
 
 def hermiticity_defect(matrix: np.ndarray) -> float:
@@ -71,93 +62,47 @@ class SpaceLayout:
         return idx
 
 
-@dataclass(frozen=True)
-class Operator:
-    """Dense complex operator on the composite space described by ``layout``."""
-
-    matrix: np.ndarray
-    layout: SpaceLayout
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"operator matrix must be square, got shape {m.shape}")
-        if m.shape[0] != self.layout.dim:
-            raise ValueError(
-                f"matrix dimension {m.shape[0]} does not match layout dimension {self.layout.dim}"
-            )
-        object.__setattr__(self, "matrix", _frozen(m))
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Hermitian, unit-trace state on the composite space.
-
-    Positivity is monitored by the evolution code, not enforced here; small
-    negative eigenvalues from integration noise are legal and reported.
-    """
-
-    matrix: np.ndarray
-    layout: SpaceLayout
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] != self.layout.dim:
-            raise ValueError(f"density matrix shape {m.shape} does not match layout")
-        defect = hermiticity_defect(m)
-        if defect > 1e-10:
-            raise NumericalIntegrityError(
-                f"density matrix is not Hermitian (relative defect {defect:.3e})"
-            )
-        tr = m.trace()
-        if abs(tr - 1.0) > 1e-6:
-            raise ValueError(f"density matrix trace {tr} is not 1")
-        object.__setattr__(self, "matrix", _frozen(m))
-
-
-def annihilator(n_levels: int) -> Operator:
+def annihilator(n_levels: int) -> np.ndarray:
     """Bosonic lowering operator <m|a|n> = sqrt(n) delta_{m,n-1} on n_levels."""
     n_levels = int(n_levels)
     if n_levels < 2:
         raise ValueError(f"annihilator needs at least 2 levels, got {n_levels}")
-    a = np.diag(np.sqrt(np.arange(1, n_levels)), k=1).astype(complex)
-    return Operator(a, SpaceLayout((n_levels,)))
+    return np.diag(np.sqrt(np.arange(1, n_levels)), k=1).astype(complex)
 
 
-def sigma_z(n_levels: int = 2) -> Operator:
+def sigma_z(n_levels: int = 2) -> np.ndarray:
     """2n - 1 on a truncated ladder; for a qubit this is diag(-1, +1).
 
     The excited state carries +1 so that a detuning term (delta/2) sigma_z
     raises the excited level by delta/2.
     """
     diag = 2.0 * np.arange(n_levels) - 1.0
-    return Operator(np.diag(diag).astype(complex), SpaceLayout((n_levels,)))
+    return np.diag(diag).astype(complex)
 
 
-def embed(local_op: Operator, subsystem_index: int, layout: SpaceLayout) -> Operator:
-    """Kronecker-embed a local operator at ``subsystem_index`` of ``layout``."""
+def embed(local_op: np.ndarray, subsystem_index: int, layout: SpaceLayout) -> np.ndarray:
+    """Kronecker-embed a square local operator at ``subsystem_index`` of ``layout``."""
     n = len(layout.dims)
     if not 0 <= subsystem_index < n:
         raise ValueError(f"subsystem index {subsystem_index} out of range for {n} subsystems")
-    if local_op.dim != layout.dims[subsystem_index]:
+    shape = np.shape(local_op)
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise ValueError(f"operator matrix must be square, got shape {shape}")
+    if shape[0] != layout.dims[subsystem_index]:
         raise ValueError(
-            f"local operator dimension {local_op.dim} does not match "
+            f"local operator dimension {shape[0]} does not match "
             f"subsystem {subsystem_index} dimension {layout.dims[subsystem_index]}"
         )
     out = np.eye(1, dtype=complex)
     for k, d in enumerate(layout.dims):
-        factor = local_op.matrix if k == subsystem_index else np.eye(d, dtype=complex)
+        factor = local_op if k == subsystem_index else np.eye(d, dtype=complex)
         out = np.kron(out, factor)
-    return Operator(out, layout)
+    return out
 
 
-def basis_ket(labels, layout: SpaceLayout) -> DensityMatrix:
+def basis_ket(labels, layout: SpaceLayout) -> np.ndarray:
     """Rank-1 projector |labels><labels| onto a product basis state."""
     idx = layout.index(labels)
     m = np.zeros((layout.dim, layout.dim), dtype=complex)
     m[idx, idx] = 1.0
-    return DensityMatrix(m, layout)
+    return m

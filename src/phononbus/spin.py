@@ -25,9 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateConfigurationError, UnachievableSplittingError
-from .qops import Operator, SpaceLayout
-
-_LAYOUT4 = SpaceLayout((4,))
 
 
 @dataclass(frozen=True)
@@ -146,9 +143,9 @@ def analytic_eigensystem(params: SpinParams) -> SpinEigenSystem:
     return SpinEigenSystem(eigenvalues, modes)
 
 
-def strain_hamiltonian(alpha: float, beta: float) -> Operator:
-    """Strain perturbation: +/- alpha on the orbital diagonal, beta mixing e_x/e_y."""
-    h = np.array(
+def strain_hamiltonian(alpha: float, beta: float) -> np.ndarray:
+    """Strain perturbation (4x4): +/- alpha on the orbital diagonal, beta mixing e_x/e_y."""
+    return np.array(
         [
             [alpha, 0.0, beta, 0.0],
             [0.0, alpha, 0.0, beta],
@@ -157,23 +154,27 @@ def strain_hamiltonian(alpha: float, beta: float) -> Operator:
         ],
         dtype=complex,
     )
-    return Operator(h, _LAYOUT4)
 
 
-def spin_phonon_coupling(eigsys: SpinEigenSystem, h_strain: Operator) -> float:
-    """|<psi_3| H_strain |psi_1>| between the two lowest levels (Hz).
+def spin_phonon_coupling(eigsys: SpinEigenSystem, h_strain: np.ndarray) -> float:
+    """|<psi_3| H_strain |psi_1>| between the two lowest levels (Hz), for a 4x4 H_strain.
 
     With orthonormal eigenvector columns this equals the (3, 1) element of
     M^dagger H M; a non-orthonormal M means a degenerate or inconsistent
     eigensystem and is rejected.
     """
+    shape = np.shape(h_strain)
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise ValueError(f"operator matrix must be square, got shape {shape}")
+    if shape[0] != 4:
+        raise ValueError(f"matrix dimension {shape[0]} does not match layout dimension 4")
     m = eigsys.modes
     gram_defect = np.abs(m.conj().T @ m - np.eye(4)).max()
     if gram_defect > 1e-8:
         raise DegenerateConfigurationError(
             f"eigenvector matrix is not orthonormal (defect {gram_defect:.3e})"
         )
-    element = m[:, 2].conj() @ (h_strain.matrix @ m[:, 0])
+    element = m[:, 2].conj() @ (h_strain @ m[:, 0])
     return float(abs(element))
 
 

@@ -42,8 +42,9 @@ n_ph = 3
 
 
 def write_config(tmp_path, body, name="run.ini"):
+    """Write ``body`` as UTF-8; a lone surrogate such as '\\udcff' writes that raw byte."""
     path = tmp_path / name
-    path.write_text(body)
+    path.write_text(body, encoding="utf-8", errors="surrogateescape")
     return path
 
 
@@ -154,6 +155,8 @@ CONFIG_ERROR_ROWS = [
     ("unknown-key", "[protocol]\nkind = resonant\nfoo = 1\n", "{path}: unknown key 'foo' in [protocol]"),
     ("unknown-section", RATES_BLOCK + "[rates2]\nx = 1\n", "{path}: unknown section [rates2]"),
     ("default-section", "[DEFAULT]\nkind = resonant\n" + RATES_BLOCK, "{path}: unknown section [DEFAULT]"),
+    ("not-utf-8", "\udcff" + RATES_BLOCK,
+     "{path}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
 ]
 
 
@@ -377,6 +380,17 @@ def test_non_finite_numbers_exit_2(tmp_path, capsys, body):
     assert not (out_dir / "manifest.json").exists()
 
 
+def test_a_sample_dt_past_the_step_cap_exits_2(tmp_path, capsys):
+    body = (REPO_CONFIGS / "virtual.ini").read_text().replace("n_ph = 3\n", "n_ph = 3\nsample_dt_s = 1e-30\n")
+    path = write_config(tmp_path, body)
+    out_dir = tmp_path / "o"
+    assert main(["simulate", "--config", str(path), "--out", str(out_dir)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: sample_dt 1e-30 s takes more than 1000000 steps over the 2.5e-06 s run"
+    ]
+    assert not (out_dir / "manifest.json").exists()
+
+
 def test_sweep_empty_grid_exit_2(tmp_path):
     body = RATES_BLOCK + "[sweep]\nkind = delta-i\nvalues =\n" + SIM_BLOCK
     cfg_path = write_config(tmp_path, body)
@@ -542,7 +556,9 @@ def test_coupling_checks_the_photon_profile_frequency(tmp_path, capsys, frequenc
     cfg_path = write_config(tmp_path, (REPO_CONFIGS / "coupling.ini").read_text())
     assert main(["coupling", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == code
     if code:
-        assert f"profile frequency {float(frequency)} Hz differs from f_sc" in capsys.readouterr().err
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {e_profile}: profile frequency {float(frequency)} Hz differs from f_sc = 4310000000.0 Hz by > 1%"
+        ]
 
 
 @pytest.mark.parametrize("frequency, code", [("4310000000.0", 0), ("nan", 2), ("9e9", 2), ("4.34e9", 0)])
@@ -556,7 +572,7 @@ def test_coupling_checks_the_strain_profile_frequency(tmp_path, capsys, frequenc
     assert main(["coupling", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == code
     if code:
         assert capsys.readouterr().err.splitlines() == [
-            f"error: profile frequency {float(frequency)} Hz differs from f_p = 4310000000.0 Hz by > 1%"
+            f"error: {t_profile}: profile frequency {float(frequency)} Hz differs from f_p = 4310000000.0 Hz by > 1%"
         ]
 
 

@@ -547,6 +547,10 @@ def _edit_missing_header(lines):
     return [lines[0]] + lines[2:]
 
 
+def _edit_not_utf8(lines):
+    return ["\udcff" + lines[0]] + lines[1:]    # written as the raw byte 0xff
+
+
 def _set_header(key, value):
     def edit(lines):
         return [f"{key} = {value}" if line.startswith(f"{key} =") else line for line in lines]
@@ -561,11 +565,12 @@ def _set_header(key, value):
     (_edit_missing_header, "{path}: missing field-profile headers ['source']"),
     (_set_header("cell_count", "ten"), "{path}: cell_count: 'ten' is not an integer"),
     (_set_header("frequency_hz", "4.31 GHz"), "{path}: frequency_hz: '4.31 GHz' is not a number"),
+    (_edit_not_utf8, "{path}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
 ], ids=["duplicate-header", "unknown-header", "non-numeric-cell", "key-value-in-data", "missing-header",
-        "cell-count-not-an-integer", "frequency-not-a-number"])
+        "cell-count-not-an-integer", "frequency-not-a-number", "not-utf-8"])
 def test_field_profile_reader_messages(tmp_path, edit, message):
     path, lines = two_cell_lines(tmp_path)
-    path.write_text("\n".join(edit(lines)) + "\n")
+    path.write_text("\n".join(edit(lines)) + "\n", encoding="utf-8", errors="surrogateescape")
     with pytest.raises(ConfigError) as err:
         read_field_profile(path)
     assert str(err.value) == message.format(path=path)
@@ -627,6 +632,14 @@ def test_piezo_reader_requires_convention_declaration(tmp_path):
     path.write_text("0 0 0 0 -0.32 0\n0 0 0 -0.32 0 0\n-0.58 -0.58 2.4 0 0 0\n")
     with pytest.raises(ConfigError):
         read_piezo_tensor(path)
+
+
+def test_piezo_reader_names_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "piezo.txt"
+    path.write_bytes(b"\xff# engineering\n")
+    with pytest.raises(ConfigError) as err:
+        read_piezo_tensor(path)
+    assert str(err.value) == f"{path}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
 
 
 def test_piezo_reader_rejects_wrong_shape(tmp_path):

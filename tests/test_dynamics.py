@@ -7,6 +7,7 @@ from scipy.linalg import expm
 from phononbus import dynamics
 from phononbus.device import SystemRates
 from phononbus.dynamics import (
+    MAX_SAMPLE_STEPS,
     SPIN_DECAY_MODELS,
     TWO_PI,
     DetuningSchedule,
@@ -22,7 +23,8 @@ from phononbus.dynamics import (
     tripartite_operators,
     write_csv,
 )
-from phononbus.qops import DensityMatrix, SpaceLayout, basis_ket
+from phononbus.errors import NumericalIntegrityError
+from phononbus.qops import SpaceLayout, basis_ket
 
 LAYOUT = SpaceLayout.tripartite(3)
 IDX_100, IDX_010, IDX_001 = LAYOUT.index((1, 0, 0)), LAYOUT.index((0, 1, 0)), LAYOUT.index((0, 0, 1))
@@ -52,6 +54,14 @@ def test_schedule_validation():
     assert sched.duration == 5e-9
 
 
+def test_sample_times_caps_the_step_count_before_allocating():
+    assert sample_times(0.5 * MAX_SAMPLE_STEPS, 0.5).size == MAX_SAMPLE_STEPS + 1
+    with pytest.raises(ValueError, match=r"^sample_dt 1e-30 s takes more than 1000000 steps over the 1e-07 s run$"):
+        sample_times(1e-7, 1e-30)
+    with pytest.raises(ValueError, match="more than 1000000 steps"):
+        sample_times(1e-7, 5e-324)      # duration/dt overflows to inf
+
+
 def test_sample_times_cover_duration_exactly():
     ts = sample_times(1.0834e-7, 1.0834e-7 / 2000)
     assert ts[0] == 0.0 and ts[-1] == 1.0834e-7
@@ -64,13 +74,13 @@ def test_sample_times_cover_duration_exactly():
 
 def test_hamiltonian_zero_everything_is_zero_matrix():
     rates = make_rates(g_scp=0.0, g_pe=0.0)
-    h = build_rotating_hamiltonian(rates, (0.0, 0.0, 0.0), LAYOUT).matrix
+    h = build_rotating_hamiltonian(rates, (0.0, 0.0, 0.0), LAYOUT)
     assert np.abs(h).max() == 0.0
 
 
 def test_single_excitation_block_matches_hand_projection():
     g1, g2 = 10e6, 3e6
-    h = build_rotating_hamiltonian(make_rates(g_scp=g1, g_pe=g2), (0.0, 0.0, 0.0), LAYOUT).matrix
+    h = build_rotating_hamiltonian(make_rates(g_scp=g1, g_pe=g2), (0.0, 0.0, 0.0), LAYOUT)
     idx = [IDX_100, IDX_010, IDX_001]
     block = h[np.ix_(idx, idx)]
     expected = TWO_PI * np.array([[0, g1, 0], [g1, 0, g2], [0, g2, 0]], dtype=complex)
@@ -78,13 +88,13 @@ def test_single_excitation_block_matches_hand_projection():
 
 
 def test_coupling_matrix_element_read_off():
-    h = build_rotating_hamiltonian(make_rates(g_scp=7e6), (0.0, 0.0, 0.0), LAYOUT).matrix
+    h = build_rotating_hamiltonian(make_rates(g_scp=7e6), (0.0, 0.0, 0.0), LAYOUT)
     assert h[IDX_100, IDX_010] == pytest.approx(TWO_PI * 7e6, rel=1e-15)
 
 
 def test_detuning_diagonal_in_single_excitation_block():
     d_sc, d_e, d_p = 11e6, -5e6, 30e6
-    h = build_rotating_hamiltonian(make_rates(), (d_sc, d_e, d_p), LAYOUT).matrix
+    h = build_rotating_hamiltonian(make_rates(), (d_sc, d_e, d_p), LAYOUT)
     np.testing.assert_allclose(h, h.conj().T, atol=0.0)
     assert h[IDX_100, IDX_100] == pytest.approx(TWO_PI * (d_sc / 2 - d_e / 2), rel=1e-12)
     assert h[IDX_010, IDX_010] == pytest.approx(TWO_PI * (-d_sc / 2 - d_e / 2 + d_p), rel=1e-12)
@@ -169,7 +179,7 @@ def test_spin_dephasing_variant_keeps_population_kills_coherence():
     model = make_model(rates, horizon, spin_decay="dephasing")
     psi = np.zeros(LAYOUT.dim, dtype=complex)
     psi[IDX_100] = psi[IDX_001] = 1 / np.sqrt(2)
-    rho0 = DensityMatrix(np.outer(psi, psi.conj()), LAYOUT)
+    rho0 = np.outer(psi, psi.conj())
     traj = evolve(model, rho0, SimOptions(sample_dt=horizon / 100))
     np.testing.assert_allclose(traj.p_e, 0.5, atol=1e-10)      # population frozen
     evolution = Evolution(model, rho0, SimOptions())
@@ -197,9 +207,9 @@ def test_pure_hamiltonian_segment_matches_unitary_route():
     rho0 = basis_ket((1, 0, 0), LAYOUT)
     evolution = Evolution(model, rho0, SimOptions())
     got = evolution.block_state(seg.duration)
-    h = build_rotating_hamiltonian(rates, (seg.delta_sc, seg.delta_e, seg.delta_p), LAYOUT).matrix
+    h = build_rotating_hamiltonian(rates, (seg.delta_sc, seg.delta_e, seg.delta_p), LAYOUT)
     u = expm(-1j * h * seg.duration)
-    want = u @ rho0.matrix @ u.conj().T
+    want = u @ rho0 @ u.conj().T
     inside = np.ix_(evolution.block, evolution.block)
     assert np.abs(got - want[inside]).max() <= 1e-10
     want[inside] = 0.0
@@ -252,8 +262,22 @@ def test_csv_writer_formats_floats_and_keeps_str_for_the_rest(tmp_path):
 def test_evolve_rejects_layout_mismatch():
     model = make_model(make_rates(), 1e-8, n_ph=4)
     rho0 = basis_ket((1, 0, 0), LAYOUT)  # n_ph = 3 state
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^density matrix shape \(12, 12\) does not match layout \(2, 4, 2\)$"):
         evolve(model, rho0, SimOptions(n_ph=4))
+
+
+def test_evolution_validates_the_start_state():
+    model = make_model(make_rates(), 1e-8)
+    skew = basis_ket((1, 0, 0), LAYOUT)
+    skew[IDX_100, IDX_001] = 0.5
+    with pytest.raises(NumericalIntegrityError, match=r"^density matrix is not Hermitian \(relative defect 6\.325e-01\)$"):
+        Evolution(model, skew, SimOptions())
+    imaginary = np.zeros((LAYOUT.dim, LAYOUT.dim), dtype=complex)   # unit trace, but an imaginary diagonal
+    imaginary[IDX_100, IDX_100], imaginary[IDX_001, IDX_001] = 0.5 + 1e-3j, 0.5 - 1e-3j
+    with pytest.raises(NumericalIntegrityError, match=r"^density matrix is not Hermitian"):
+        evolve(model, imaginary, SimOptions())
+    with pytest.raises(ValueError, match=r"^density matrix trace \(2\+0j\) is not 1$"):
+        Evolution(model, 2 * basis_ket((1, 0, 0), LAYOUT), SimOptions())
 
 
 def test_sim_options_validation():
@@ -269,7 +293,7 @@ def test_sim_options_validation():
 
 def test_tripartite_operator_shapes():
     ops = tripartite_operators(LAYOUT)
-    assert ops["n_sc"].shape == (12, 12)
+    assert ops["n_p"].shape == (12, 12)
     assert np.abs(ops["a"] @ ops["a"].conj().T - ops["a"].conj().T @ ops["a"]).max() > 0
 
 
@@ -282,11 +306,11 @@ def full_space_reference(model, rho0):
     """Full-space states every BLOCK_DT from expm of the full Liouvillian; segment ends lie on samples."""
     d = model.layout.dim
     jumps = jump_operators(model)
-    v = rho0.matrix.reshape(-1, order="F")
+    v = rho0.reshape(-1, order="F")
     states = [v]
     for seg in model.schedule.segments:
         h = build_rotating_hamiltonian(model.rates, (seg.delta_sc, seg.delta_e, seg.delta_p), model.layout)
-        step = expm(liouvillian(h.matrix, jumps) * BLOCK_DT)
+        step = expm(liouvillian(h, jumps) * BLOCK_DT)
         for _ in range(round(seg.duration / BLOCK_DT)):
             v = step @ v
             states.append(v)
@@ -297,7 +321,7 @@ def block_start(name, layout):
     if name == "100+001":
         psi = np.zeros(layout.dim, dtype=complex)
         psi[layout.index((1, 0, 0))] = psi[layout.index((0, 0, 1))] = 1 / np.sqrt(2)
-        return DensityMatrix(np.outer(psi, psi.conj()), layout)
+        return np.outer(psi, psi.conj())
     return basis_ket(tuple(int(c) for c in name), layout)
 
 
@@ -309,8 +333,9 @@ def assert_block_kernel_matches_full_liouvillian(model, rho0, options):
     assert traj.times.size == len(ref)
 
     ops = tripartite_operators(layout)
-    for name, got in (("n_sc", traj.p_sc), ("n_p", traj.p_p), ("n_e", traj.p_e)):
-        want = [np.trace(ops[name] @ r).real for r in ref]
+    for name, got in (("sm_sc", traj.p_sc), ("a", traj.p_p), ("sm_e", traj.p_e)):
+        number = ops[name].conj().T @ ops[name]
+        want = [np.trace(number @ r).real for r in ref]
         assert np.abs(got - want).max() <= 1e-10, name
     for key, got in traj.fidelities.items():
         idx = layout.index(tuple(int(c) for c in key))

@@ -11,7 +11,6 @@ from phononbus.dynamics import SimOptions
 from phononbus.errors import IntegrationError, TransducerWarning
 from phononbus.protocols import (
     HierarchyReport,
-    ProtocolSpec,
     protocol_hierarchy,
     run_double_rabi,
     run_resonant,
@@ -42,9 +41,8 @@ def test_resonant_mismatch_hurts_fidelity():
     assert mismatched.f_e_max < matched.f_e_max
 
 
-def test_resonant_result_echo_and_consistency():
+def test_resonant_result_consistency():
     res = run_resonant(rates(), OPTS)
-    assert res.spec_echo.kind == "resonant"
     # the refined peak sits on or just above the sampled fidelity column
     col_max = res.trajectory.f_e.max()
     assert col_max - 1e-12 <= res.f_e_max <= col_max + 1e-4
@@ -70,10 +68,19 @@ def test_virtual_dispersive_warning():
 
 
 def test_virtual_rejects_zero_detuning():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^virtual-phonon protocol needs a nonzero delta_p$"):
         run_virtual(rates(), 0.0, OPTS)
-    with pytest.raises(ValueError):
-        ProtocolSpec("virtual-phonon", rates(), delta_p=0.0)
+
+
+@pytest.mark.parametrize("horizon", [0.0, -1e-9])
+def test_runners_reject_a_horizon_that_is_not_positive(horizon):
+    with pytest.raises(ValueError, match="^horizon must be positive$"):
+        run_resonant(rates(), OPTS, horizon=horizon)
+    with pytest.raises(ValueError, match="^horizon must be positive$"):
+        run_virtual(rates(), 30e6, OPTS, horizon=horizon)
+    # the zero-detuning check comes first
+    with pytest.raises(ValueError, match="^virtual-phonon protocol needs a nonzero delta_p$"):
+        run_virtual(rates(), 0.0, OPTS, horizon=horizon)
 
 
 def test_double_rabi_lossless_completes():
@@ -141,6 +148,12 @@ def test_sweep_records_per_point_failures():
     assert bad_g.protocol == "resonant" and "g_scp" in bad_g.error
 
 
+def test_a_sample_dt_past_the_step_cap_fails_its_grid_point():
+    (point,) = sweep("delta-i", [1e9], rates(), SimOptions(sample_dt=1e-30))
+    assert np.isnan(point.f_e_max) and np.isnan(point.t_opt)
+    assert point.error.startswith("sample_dt 1e-30 s takes more than 1000000 steps over the ")
+
+
 @pytest.mark.parametrize("kind, field", [("delta-p", "delta_p"), ("delta-i", "delta_i")])
 def test_sweep_records_a_nan_control_by_name(kind, field):
     (point,) = sweep(kind, [float("nan")], rates(), OPTS)
@@ -151,8 +164,19 @@ def test_sweep_records_a_nan_control_by_name(kind, field):
 @pytest.mark.parametrize("field", ["delta_p", "delta_i", "horizon"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
 def test_protocol_spec_rejects_non_finite_controls(field, value):
-    with pytest.raises(ValueError, match=f"^{field} must be finite"):
-        ProtocolSpec("virtual-phonon", rates(), **{"delta_p": 30e6, field: value})
+    """Every runner rejects each non-finite control that specifies its run, by name."""
+    calls = {
+        "delta_p": [lambda: run_virtual(rates(), value, OPTS)],
+        "delta_i": [lambda: run_double_rabi(rates(), value, OPTS)],
+        "horizon": [lambda: run_resonant(rates(), OPTS, horizon=value),
+                    lambda: run_virtual(rates(), 30e6, OPTS, horizon=value)],
+    }[field]
+    text = f"{field} must be finite, got {value}"
+    if field == "delta_i" and value < 0:
+        text = "delta_i must be nonnegative"     # the sign check comes first
+    for call in calls:
+        with pytest.raises(ValueError, match=f"^{text}$"):
+            call()
 
 
 def test_grid_runs_use_the_runners_looked_up_at_call_time(monkeypatch):

@@ -139,10 +139,10 @@ def test_degenerate_configuration_rejected():
 
 
 def test_strain_hamiltonian_matrix():
-    h = strain_hamiltonian(1.0, 0.0).matrix
+    h = strain_hamiltonian(1.0, 0.0)
     np.testing.assert_array_equal(h, np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex))
-    np.testing.assert_array_equal(strain_hamiltonian(0.0, 0.0).matrix, np.zeros((4, 4)))
-    hb = strain_hamiltonian(0.7, -0.3).matrix
+    np.testing.assert_array_equal(strain_hamiltonian(0.0, 0.0), np.zeros((4, 4)))
+    hb = strain_hamiltonian(0.7, -0.3)
     np.testing.assert_allclose(hb, hb.conj().T, atol=0.0)
     assert hb[0, 2] == -0.3
 
@@ -150,6 +150,14 @@ def test_strain_hamiltonian_matrix():
 def test_spin_phonon_coupling_zero_strain():
     eig = analytic_eigensystem(params())
     assert spin_phonon_coupling(eig, strain_hamiltonian(0.0, 0.0)) == 0.0
+
+
+def test_spin_phonon_coupling_rejects_a_matrix_that_is_not_4x4():
+    eig = analytic_eigensystem(params())
+    with pytest.raises(ValueError, match=r"^operator matrix must be square, got shape \(4, 3\)$"):
+        spin_phonon_coupling(eig, np.ones((4, 3)))
+    with pytest.raises(ValueError, match=r"^matrix dimension 3 does not match layout dimension 4$"):
+        spin_phonon_coupling(eig, np.eye(3))
 
 
 def test_spin_phonon_coupling_vanishes_without_transverse_field():

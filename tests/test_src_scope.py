@@ -66,3 +66,17 @@ def test_every_public_name_in_src_has_a_caller_in_src():
 
 def test_every_allowed_entry_is_still_needed():
     assert set(ALLOWED) <= set(unreferenced_public_names())
+
+
+def test_no_module_imports_a_private_name_from_another():
+    """A name another module needs is public: ``from .module import _name`` fails here."""
+    private = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.level > 0 or (node.module or "").startswith("phononbus")):
+                # a dunder such as __version__ is public
+                private += [
+                    f"{path.stem}: {alias.name}" for alias in node.names
+                    if alias.name.startswith("_") and not alias.name.endswith("__")
+                ]
+    assert private == []
