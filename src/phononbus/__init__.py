@@ -28,7 +28,6 @@ from .device import (
 from .dynamics import (
     DetuningSchedule,
     Evolution,
-    LindbladModel,
     Segment,
     SimOptions,
     Trajectory,

@@ -216,7 +216,6 @@ def _cmd_coupling(cfg: RunConfig, out_dir: Path) -> list[Path]:
     piezo = read_piezo_tensor(dev.piezo_path)
 
     photon_scale = photon_zero_point_scale(dev.caps, cfg.rates.f_sc)
-    phonon_scale = phonon_zero_point_scale(t_profile, cfg.rates.f_p)
     try:
         e_norm = normalize_photon_field(e_profile, dev.caps, cfg.rates.f_sc)
     except ValueError as exc:
@@ -225,6 +224,7 @@ def _cmd_coupling(cfg: RunConfig, out_dir: Path) -> list[Path]:
         t_norm = normalize_phonon_strain(t_profile, cfg.rates.f_p)
     except ValueError as exc:
         raise ValueError(f"{dev.t_profile_path}: {exc}") from exc
+    phonon_scale = phonon_zero_point_scale(t_profile, cfg.rates.f_p)
 
     g_scp = electromechanical_coupling(e_norm, t_norm, piezo)
     rotation = np.asarray(dev.emitter_rotation, dtype=float).reshape(3, 3)

@@ -10,6 +10,11 @@ factors enter here and only here:
     angular rate 2pi*kappa on jumps (s-_sc, a, s-_e), so a lone excitation
     decays as exp(-2pi kappa t).
 
+A run is fixed by its :class:`~phononbus.device.SystemRates`, its
+:class:`DetuningSchedule` and one :class:`SimOptions`, which sets the
+integrator, the phonon truncation n_ph and the spin dissipator
+("energy" above, or "dephasing": sz_e at pi*kappa_e in place of s-_e).
+
 The Hamiltonian conserves the total excitation number and every jump lowers
 it (s-_sc, a, s-_e) or keeps it (sz_e), so a state never leaves the block of
 basis states that hold no more excitations than the most excited state it
@@ -42,8 +47,6 @@ from .qops import SpaceLayout, annihilator, embed, hermiticity_defect, sigma_z
 
 TWO_PI = 2.0 * math.pi
 
-SINGLE_EXCITATION_TARGETS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-
 TRAJECTORY_CSV_HEADER = "t_s,P_sc,P_p,P_e,F_sc,F_p,F_e,trace_err"
 
 # Sample times evaluated per batch: bounds the work array at (d_block**2, SAMPLE_CHUNK).
@@ -52,7 +55,7 @@ SAMPLE_CHUNK = 100
 # The most sample_dt steps one run may sample; the default sample_dt takes 2000.
 MAX_SAMPLE_STEPS = 1_000_000
 
-# Spin dissipators; see LindbladModel.
+# Spin dissipators; see SimOptions.
 SPIN_DECAY_MODELS = ("energy", "dephasing")
 
 
@@ -110,14 +113,19 @@ class DetuningSchedule:
 
 @dataclass(frozen=True)
 class SimOptions:
-    """Integrator options.
+    """Integrator options, the phonon truncation and the spin dissipator of a run.
 
     method: "piecewise-exponential" (exact per constant segment) or
     "adaptive-stepper". rel_tol controls the stepper and the documented
     agreement between the two routes. n_ph is the phonon truncation (exact
-    for a single excitation from n_ph = 2 on).
-    sample_dt defaults to duration/2000 when omitted. spin_decay_model
-    picks the spin dissipator of every run (see LindbladModel).
+    for a single excitation from n_ph = 2 on); it fixes the layout
+    (2, n_ph, 2). sample_dt defaults to duration/2000 when omitted.
+
+    spin_decay_model "energy" uses the jump s-_e at angular rate
+    2pi*kappa_e. The "dephasing" variant replaces it with sz_e at angular
+    rate pi*kappa_e, so the spin coherence decays at 2pi*kappa_e while its
+    population persists; populations then only leak through the other
+    channels. Intended for sensitivity analysis.
     """
 
     method: str = "piecewise-exponential"
@@ -144,63 +152,30 @@ class SimOptions:
 
 
 @dataclass(frozen=True)
-class LindbladModel:
-    """Rates + layout + schedule defining one evolution.
-
-    spin_decay_model "energy" uses the jump s-_e at angular rate
-    2pi*kappa_e. The "dephasing" variant replaces it with sz_e at angular
-    rate pi*kappa_e, so the spin coherence decays at 2pi*kappa_e while its
-    population persists; populations then only leak through the other
-    channels. Intended for sensitivity analysis.
-    """
-
-    rates: SystemRates
-    layout: SpaceLayout
-    schedule: DetuningSchedule
-    spin_decay_model: str = "energy"
-
-    def __post_init__(self):
-        if len(self.layout.dims) != 3 or self.layout.dims[0] != 2 or self.layout.dims[2] != 2:
-            raise ValueError("layout must be (2, N_ph, 2)")
-        if self.layout.dims[1] < 2:
-            raise ValueError("phonon truncation must be at least 2")
-        if self.spin_decay_model not in SPIN_DECAY_MODELS:
-            raise ValueError(f"unknown spin decay model '{self.spin_decay_model}'")
-
-
-@dataclass(frozen=True)
 class Trajectory:
-    """Sampled populations and fidelities of one evolution."""
+    """Sampled populations and fidelities of one evolution.
+
+    p_sc, p_p and p_e are the mean excitation numbers of the three modes;
+    f_sc, f_p and f_e the populations of |100>, |010> and |001>.
+    """
 
     times: np.ndarray
     p_sc: np.ndarray
     p_p: np.ndarray
     p_e: np.ndarray
-    fidelities: dict[str, np.ndarray]
+    f_sc: np.ndarray
+    f_p: np.ndarray
+    f_e: np.ndarray
     trace_errs: np.ndarray
     min_eigenvalues: np.ndarray
 
     def __post_init__(self):
-        for name in ("times", "p_sc", "p_p", "p_e", "trace_errs", "min_eigenvalues"):
+        for name in ("times", "p_sc", "p_p", "p_e", "f_sc", "f_p", "f_e", "trace_errs", "min_eigenvalues"):
             a = np.asarray(getattr(self, name), dtype=float)
             a.setflags(write=False)
             object.__setattr__(self, name, a)
-        for a in self.fidelities.values():
-            a.setflags(write=False)
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("trajectory times must be strictly increasing")
-
-    @property
-    def f_sc(self) -> np.ndarray:
-        return self.fidelities["100"]
-
-    @property
-    def f_p(self) -> np.ndarray:
-        return self.fidelities["010"]
-
-    @property
-    def f_e(self) -> np.ndarray:
-        return self.fidelities["001"]
 
     @property
     def trace_error(self) -> float:
@@ -266,19 +241,19 @@ def build_rotating_hamiltonian(
     )
 
 
-def jump_operators(model: LindbladModel) -> list[tuple[float, np.ndarray]]:
-    """(angular rate, operator) pairs for the model's dissipators."""
-    ops = tripartite_operators(model.layout)
+def jump_operators(rates: SystemRates, options: SimOptions) -> list[tuple[float, np.ndarray]]:
+    """(angular rate, operator) pairs of the dissipators on ``options.layout``."""
+    ops = tripartite_operators(options.layout)
     jumps = []
-    if model.rates.kappa_sc > 0:
-        jumps.append((TWO_PI * model.rates.kappa_sc, ops["sm_sc"]))
-    if model.rates.kappa_p > 0:
-        jumps.append((TWO_PI * model.rates.kappa_p, ops["a"]))
-    if model.rates.kappa_e > 0:
-        if model.spin_decay_model == "energy":
-            jumps.append((TWO_PI * model.rates.kappa_e, ops["sm_e"]))
+    if rates.kappa_sc > 0:
+        jumps.append((TWO_PI * rates.kappa_sc, ops["sm_sc"]))
+    if rates.kappa_p > 0:
+        jumps.append((TWO_PI * rates.kappa_p, ops["a"]))
+    if rates.kappa_e > 0:
+        if options.spin_decay_model == "energy":
+            jumps.append((TWO_PI * rates.kappa_e, ops["sm_e"]))
         else:
-            jumps.append((math.pi * model.rates.kappa_e, ops["sz_e"]))
+            jumps.append((math.pi * rates.kappa_e, ops["sz_e"]))
     return jumps
 
 
@@ -298,7 +273,7 @@ def liouvillian(h_matrix: np.ndarray, jumps: Iterable[tuple[float, np.ndarray]])
 
 
 def segment_liouvillian(
-    model: LindbladModel, segment: Segment, block: np.ndarray | None = None
+    rates: SystemRates, segment: Segment, options: SimOptions, block: np.ndarray | None = None
 ) -> np.ndarray:
     """Generator of one segment on the basis states ``block`` (default: all of them).
 
@@ -306,9 +281,9 @@ def segment_liouvillian(
     leads out of it, and the dynamics never leave it.
     """
     h = build_rotating_hamiltonian(
-        model.rates, (segment.delta_sc, segment.delta_e, segment.delta_p), model.layout
+        rates, (segment.delta_sc, segment.delta_e, segment.delta_p), options.layout
     )
-    jumps = jump_operators(model)
+    jumps = jump_operators(rates, options)
     if block is not None:
         ix = np.ix_(block, block)
         h = h[ix]
@@ -392,15 +367,16 @@ class Evolution:
     exponential per distinct step. With method "adaptive-stepper" a DOP853
     stepper integrates the block.
 
-    rho0 is a (dim, dim) density matrix on ``model.layout``: Hermitian and of
-    unit trace. Positivity is not checked here; evolve monitors it.
+    rho0 is a (dim, dim) density matrix on ``options.layout``: Hermitian and
+    of unit trace. Positivity is not checked here; evolve monitors it.
     ``counts`` holds the (n_sc, n_p, n_e) labels of each block state.
     """
 
-    def __init__(self, model: LindbladModel, rho0: np.ndarray, options: SimOptions):
+    def __init__(self, rates: SystemRates, schedule: DetuningSchedule, rho0: np.ndarray, options: SimOptions):
         m = np.asarray(rho0, dtype=complex)
-        dims = model.layout.dims
-        if m.shape != (model.layout.dim, model.layout.dim):
+        layout = options.layout
+        dims = layout.dims
+        if m.shape != (layout.dim, layout.dim):
             raise ValueError(f"density matrix shape {m.shape} does not match layout {dims}")
         defect = hermiticity_defect(m)
         if defect > 1e-10:
@@ -408,9 +384,9 @@ class Evolution:
         tr = m.trace()
         if abs(tr - 1.0) > 1e-6:
             raise ValueError(f"density matrix trace {tr} is not 1")
-        self.model = model
+        self.rates = rates
         self.options = options
-        self.segments = model.schedule.segments
+        self.segments = schedule.segments
         labels = np.indices(dims).reshape(len(dims), -1).T
         excitations = labels.sum(axis=1)
         support = np.any(m != 0, axis=0) | np.any(m != 0, axis=1)
@@ -424,7 +400,7 @@ class Evolution:
     def _generator(self, k: int) -> tuple:
         """(L, spectral form or None) of segment k, built on first use."""
         if self._generators[k] is None:
-            l_super = segment_liouvillian(self.model, self.segments[k], self.block)
+            l_super = segment_liouvillian(self.rates, self.segments[k], self.options, self.block)
             adaptive = self.options.method == "adaptive-stepper"
             self._generators[k] = (l_super, None if adaptive else _spectral_form(l_super))
         return self._generators[k]
@@ -477,7 +453,7 @@ class Evolution:
 
     def _position(self, labels) -> int | None:
         """Index of |labels> within the block, or None outside it."""
-        where = np.flatnonzero(self.block == self.model.layout.index(labels))
+        where = np.flatnonzero(self.block == self.options.layout.index(labels))
         return int(where[0]) if where.size else None
 
     def population(self, labels, t: float) -> float:
@@ -505,25 +481,25 @@ def sample_times(duration: float, dt: float) -> np.ndarray:
     return ts
 
 
-def evolve(model: LindbladModel, rho0: np.ndarray, options: SimOptions) -> Trajectory:
-    """Integrate the master equation from the (dim, dim) state rho0 over the model's schedule.
+def evolve(
+    rates: SystemRates, schedule: DetuningSchedule, rho0: np.ndarray, options: SimOptions
+) -> Trajectory:
+    """Integrate the master equation from the (dim, dim) state rho0 over the schedule.
 
     Samples every ``options.sample_dt`` (default: duration/2000) through an
     :class:`Evolution`. Each sampled state is symmetrized; trace error and
     the most negative eigenvalue of the full state are monitored, never
     corrected. A fidelity target outside the excitation block of rho0 reads 0.
     """
-    evolution = Evolution(model, rho0, options)
-    layout = model.layout
-    duration = model.schedule.duration
+    evolution = Evolution(rates, schedule, rho0, options)
+    duration = schedule.duration
     dt = options.sample_dt if options.sample_dt is not None else duration / 2000.0
     ts = sample_times(duration, dt)
-
-    target_pos = {"".join(map(str, t)): evolution._position(t) for t in SINGLE_EXCITATION_TARGETS}
+    targets = [evolution._position(labels) for labels in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
 
     n_samples = ts.size
     pops = np.empty((n_samples, 3))
-    fids = {key: np.zeros(n_samples) for key in target_pos}
+    fids = np.zeros((n_samples, 3))
     tr_errs = np.empty(n_samples)
     min_eigs = np.empty(n_samples)
 
@@ -531,19 +507,19 @@ def evolve(model: LindbladModel, rho0: np.ndarray, options: SimOptions) -> Traje
         sl = slice(k, k + len(rhos))
         diag = np.real(np.diagonal(rhos, axis1=1, axis2=2))
         pops[sl] = diag @ evolution.counts
-        for key, j in target_pos.items():
+        for i, j in enumerate(targets):
             if j is not None:
-                fids[key][sl] = diag[:, j]
+                fids[sl, i] = diag[:, j]
         tr_errs[sl] = np.abs(diag.sum(axis=1) - 1.0)
         min_eigs[sl] = np.linalg.eigvalsh(rhos)[:, 0]
 
     record(0, evolution.block_state(0.0)[None])
     k = 1
-    for i, segment in enumerate(model.schedule.segments):
+    for i, segment in enumerate(schedule.segments):
         stop = int(np.searchsorted(ts, segment.t_end + 1e-9 * dt, side="right"))
         for rhos in evolution.sampled(i, ts[k:stop] - segment.t_start):
             record(k, rhos)
             k += len(rhos)
-    if evolution.block.size < layout.dim:
+    if evolution.block.size < options.layout.dim:
         np.minimum(min_eigs, 0.0, out=min_eigs)      # the states outside the block hold exactly 0
-    return Trajectory(ts, pops[:, 0], pops[:, 1], pops[:, 2], fids, tr_errs, min_eigs)
+    return Trajectory(ts, *pops.T, *fids.T, tr_errs, min_eigs)

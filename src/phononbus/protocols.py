@@ -28,7 +28,6 @@ from .device import SystemRates, kappa_from_q
 from .dynamics import (
     DetuningSchedule,
     Evolution,
-    LindbladModel,
     Segment,
     SimOptions,
     Trajectory,
@@ -144,10 +143,9 @@ def _check_finite(name: str, value: float) -> None:
 
 
 def _run_schedule(rates: SystemRates, schedule: DetuningSchedule, options: SimOptions) -> ProtocolResult:
-    model = LindbladModel(rates, options.layout, schedule, options.spin_decay_model)
-    rho0 = basis_ket((1, 0, 0), model.layout)
-    trajectory = evolve(model, rho0, options)
-    f_max, t_opt = _refine_peak(Evolution(model, rho0, options), trajectory)
+    rho0 = basis_ket((1, 0, 0), options.layout)
+    trajectory = evolve(rates, schedule, rho0, options)
+    f_max, t_opt = _refine_peak(Evolution(rates, schedule, rho0, options), trajectory)
     return ProtocolResult(
         f_e_max=f_max,
         t_opt=t_opt,

@@ -38,7 +38,7 @@ from phononbus.device import (
     electromechanical_coupling,
     kappa_from_q,
 )
-from phononbus.dynamics import TWO_PI, DetuningSchedule, LindbladModel, SimOptions, evolve
+from phononbus.dynamics import TWO_PI, DetuningSchedule, SimOptions, evolve
 from phononbus.protocols import (
     protocol_hierarchy,
     run_double_rabi,
@@ -113,8 +113,8 @@ def decay_trajectory():
     rates = SystemRates(F0, F0, F0, kappa_sc=kappa, kappa_p=0.0, kappa_e=0.0, g_scp=0.0, g_pe=0.0)
     horizon = 3.0 / (TWO_PI * kappa)
     layout = SpaceLayout.tripartite(3)
-    model = LindbladModel(rates, layout, DetuningSchedule.constant(horizon))
-    return evolve(model, basis_ket((1, 0, 0), layout), SimOptions(sample_dt=horizon / 300))
+    schedule = DetuningSchedule.constant(horizon)
+    return evolve(rates, schedule, basis_ket((1, 0, 0), layout), SimOptions(sample_dt=horizon / 300))
 
 
 def test_criterion_01_virtual_phonon_fidelity(virtual_result):

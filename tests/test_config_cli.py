@@ -576,6 +576,20 @@ def test_coupling_checks_the_strain_profile_frequency(tmp_path, capsys, frequenc
         ]
 
 
+def test_coupling_names_a_strain_profile_without_elastic_energy(tmp_path, capsys):
+    shutil.copytree(REPO_CONFIGS / "data", tmp_path / "data")
+    t_profile = tmp_path / "data" / "demo_t_profile.txt"
+    text = t_profile.read_text()
+    weight = " 2.53500000000000085e+01 "      # column 17, the compliance weight of every cell
+    assert text.count(weight) == 8
+    t_profile.write_text(text.replace(weight, " 0.0 "))
+    cfg_path = write_config(tmp_path, (REPO_CONFIGS / "coupling.ini").read_text())
+    assert main(["coupling", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {t_profile}: mode elastic energy integral must be positive"
+    ]
+
+
 def test_coupling_grid_mismatch_exit_3(tmp_path, capsys):
     coupling_tmp_files(tmp_path, (0, 0, 1.0), (0, 0, 1e-5, 0, 0, 0))
     text = (tmp_path / "t.txt").read_text().splitlines()

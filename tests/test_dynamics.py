@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+import full_space_reference as fsr
 from phononbus import dynamics
 from phononbus.device import SystemRates
 from phononbus.dynamics import (
@@ -12,13 +13,10 @@ from phononbus.dynamics import (
     TWO_PI,
     DetuningSchedule,
     Evolution,
-    LindbladModel,
     Segment,
     SimOptions,
     build_rotating_hamiltonian,
     evolve,
-    jump_operators,
-    liouvillian,
     sample_times,
     tripartite_operators,
     write_csv,
@@ -32,11 +30,6 @@ IDX_100, IDX_010, IDX_001 = LAYOUT.index((1, 0, 0)), LAYOUT.index((0, 1, 0)), LA
 
 def make_rates(kappa_sc=0.0, kappa_p=0.0, kappa_e=0.0, g_scp=3e6, g_pe=3e6):
     return SystemRates(4.31e9, 4.31e9, 4.31e9, kappa_sc, kappa_p, kappa_e, g_scp, g_pe)
-
-
-def make_model(rates, duration, d_sc=0.0, d_e=0.0, d_p=0.0, spin_decay="energy", n_ph=3):
-    schedule = DetuningSchedule.constant(duration, d_sc, d_e, d_p)
-    return LindbladModel(rates, SpaceLayout.tripartite(n_ph), schedule, spin_decay)
 
 
 # -------------------------------------------------------------- schedules
@@ -104,8 +97,8 @@ def test_detuning_diagonal_in_single_excitation_block():
 # ---------------------------------------------------------------- evolve
 
 def test_stationary_when_uncoupled_and_lossless():
-    model = make_model(make_rates(g_scp=0.0, g_pe=0.0), 1e-6, d_sc=5e6, d_e=-2e6)
-    traj = evolve(model, basis_ket((1, 0, 0), LAYOUT), SimOptions(sample_dt=1e-8))
+    schedule = DetuningSchedule.constant(1e-6, delta_sc=5e6, delta_e=-2e6)
+    traj = evolve(make_rates(g_scp=0.0, g_pe=0.0), schedule, basis_ket((1, 0, 0), LAYOUT), SimOptions(sample_dt=1e-8))
     np.testing.assert_allclose(traj.f_sc, 1.0, atol=1e-12)
     np.testing.assert_allclose(traj.p_sc, 1.0, atol=1e-12)
     np.testing.assert_allclose(traj.p_p, 0.0, atol=1e-12)
@@ -115,9 +108,9 @@ def test_stationary_when_uncoupled_and_lossless():
 def test_decay_oracle_exponential(method):
     kappa = 1e5
     horizon = 3.0 / (TWO_PI * kappa)
-    model = make_model(make_rates(kappa_sc=kappa, g_scp=0.0, g_pe=0.0), horizon)
+    rates = make_rates(kappa_sc=kappa, g_scp=0.0, g_pe=0.0)
     options = SimOptions(method=method, sample_dt=horizon / 200)
-    traj = evolve(model, basis_ket((1, 0, 0), LAYOUT), options)
+    traj = evolve(rates, DetuningSchedule.constant(horizon), basis_ket((1, 0, 0), LAYOUT), options)
     expected = np.exp(-TWO_PI * kappa * traj.times)
     tol = 1e-10 if method == "piecewise-exponential" else 1e-6
     np.testing.assert_allclose(traj.p_sc, expected, rtol=tol)
@@ -126,23 +119,21 @@ def test_decay_oracle_exponential(method):
 def test_full_transfer_at_analytic_time():
     g = 3e6
     t_star = 1.0 / (2.0 * np.sqrt(2.0) * g)
-    model = make_model(make_rates(), t_star)
-    traj = evolve(model, basis_ket((1, 0, 0), LAYOUT), SimOptions())
+    traj = evolve(make_rates(), DetuningSchedule.constant(t_star), basis_ket((1, 0, 0), LAYOUT), SimOptions())
     assert traj.f_e[-1] >= 0.9999
 
 
 def test_excitation_conservation_without_loss():
-    model = make_model(make_rates(g_scp=5e6, g_pe=2e6), 4e-7, d_sc=7e6, d_e=-9e6, d_p=13e6)
-    traj = evolve(model, basis_ket((1, 0, 0), LAYOUT), SimOptions())
+    schedule = DetuningSchedule.constant(4e-7, delta_sc=7e6, delta_e=-9e6, delta_p=13e6)
+    traj = evolve(make_rates(g_scp=5e6, g_pe=2e6), schedule, basis_ket((1, 0, 0), LAYOUT), SimOptions())
     total = traj.p_sc + traj.p_p + traj.p_e
     np.testing.assert_allclose(total, 1.0, atol=1e-9)
 
 
 def test_trace_and_positivity_monitoring_lossy():
     rates = make_rates(kappa_sc=1e5, kappa_p=43.1e3, kappa_e=1e6)
-    model = make_model(rates, 5e-7)
     for method in ("piecewise-exponential", "adaptive-stepper"):
-        traj = evolve(model, basis_ket((1, 0, 0), LAYOUT), SimOptions(method=method))
+        traj = evolve(rates, DetuningSchedule.constant(5e-7), basis_ket((1, 0, 0), LAYOUT), SimOptions(method=method))
         assert traj.trace_error <= 1e-8
         assert traj.min_eigenvalue >= -1e-9
         assert np.all(traj.p_sc >= -1e-9) and np.all(traj.p_sc <= 1 + 1e-9)
@@ -152,9 +143,8 @@ def test_truncation_insensitivity_single_excitation():
     rates = make_rates(kappa_sc=1e5, kappa_p=43.1e3, kappa_e=1e6)
     results = []
     for n_ph in (2, 4):
-        model = make_model(rates, 3e-7, n_ph=n_ph)
         rho0 = basis_ket((1, 0, 0), SpaceLayout.tripartite(n_ph))
-        traj = evolve(model, rho0, SimOptions(n_ph=n_ph, sample_dt=3e-10))
+        traj = evolve(rates, DetuningSchedule.constant(3e-7), rho0, SimOptions(n_ph=n_ph, sample_dt=3e-10))
         results.append(traj.f_e)
     np.testing.assert_allclose(results[0], results[1], atol=1e-6)
 
@@ -164,11 +154,10 @@ def test_method_equivalence_on_segment_schedule():
     schedule = DetuningSchedule(
         (Segment(0.0, 2.5e-8, delta_e=1e9), Segment(2.5e-8, 1.08e-7, delta_sc=1e9))
     )
-    model = LindbladModel(rates, LAYOUT, schedule)
     rho0 = basis_ket((1, 0, 0), LAYOUT)
     rel_tol = 1e-8
-    f_pw = evolve(model, rho0, SimOptions(rel_tol=rel_tol)).f_e
-    f_ad = evolve(model, rho0, SimOptions(method="adaptive-stepper", rel_tol=rel_tol)).f_e
+    f_pw = evolve(rates, schedule, rho0, SimOptions(rel_tol=rel_tol)).f_e
+    f_ad = evolve(rates, schedule, rho0, SimOptions(method="adaptive-stepper", rel_tol=rel_tol)).f_e
     assert np.abs(f_pw - f_ad).max() <= 10 * rel_tol
 
 
@@ -176,13 +165,13 @@ def test_spin_dephasing_variant_keeps_population_kills_coherence():
     kappa_e = 1e6
     rates = make_rates(kappa_e=kappa_e, g_scp=0.0, g_pe=0.0)
     horizon = 2.0 / (TWO_PI * kappa_e)
-    model = make_model(rates, horizon, spin_decay="dephasing")
     psi = np.zeros(LAYOUT.dim, dtype=complex)
     psi[IDX_100] = psi[IDX_001] = 1 / np.sqrt(2)
     rho0 = np.outer(psi, psi.conj())
-    traj = evolve(model, rho0, SimOptions(sample_dt=horizon / 100))
+    options = SimOptions(sample_dt=horizon / 100, spin_decay_model="dephasing")
+    traj = evolve(rates, DetuningSchedule.constant(horizon), rho0, options)
     np.testing.assert_allclose(traj.p_e, 0.5, atol=1e-10)      # population frozen
-    evolution = Evolution(model, rho0, SimOptions())
+    evolution = Evolution(rates, DetuningSchedule.constant(horizon), rho0, options)
     i100, i001 = (np.flatnonzero(evolution.block == idx)[0] for idx in (IDX_100, IDX_001))
     coh = abs(evolution.block_state(horizon)[i100, i001])
     assert coh == pytest.approx(0.5 * np.exp(-TWO_PI * kappa_e * horizon), rel=1e-9)
@@ -192,22 +181,42 @@ def test_energy_decay_variant_depletes_population():
     kappa_e = 1e6
     rates = make_rates(kappa_e=kappa_e, g_scp=0.0, g_pe=0.0)
     horizon = 1.0 / (TWO_PI * kappa_e)
-    model = make_model(rates, horizon)
-    traj = evolve(model, basis_ket((0, 0, 1), LAYOUT), SimOptions(sample_dt=horizon / 50))
+    options = SimOptions(sample_dt=horizon / 50)
+    traj = evolve(rates, DetuningSchedule.constant(horizon), basis_ket((0, 0, 1), LAYOUT), options)
     np.testing.assert_allclose(traj.p_e, np.exp(-TWO_PI * kappa_e * traj.times), rtol=1e-9)
+
+
+# F_e at three sample indices of the dephasing run below, pinned: choosing the
+# dissipator through SimOptions must give the numbers the earlier separate
+# model object (rates, layout, schedule, spin decay model) gave.
+DEPHASING_F_E = {250: 0.04126405643339089, 1000: 0.24920615444338834, 2000: 0.33052338721434515}
+
+
+def test_spin_decay_model_comes_from_sim_options():
+    rates = make_rates(kappa_sc=1e5, kappa_p=43.1e3, kappa_e=1e6, g_scp=3e6, g_pe=3e6)
+    schedule = DetuningSchedule.constant(1e-6, delta_p=30e6)
+    rho0 = basis_ket((1, 0, 0), LAYOUT)
+    energy = evolve(rates, schedule, rho0, SimOptions())
+    dephasing = evolve(rates, schedule, rho0, SimOptions(spin_decay_model="dephasing"))
+    assert np.abs(dephasing.f_e - energy.f_e).max() > 1e-2
+    for k, want in DEPHASING_F_E.items():
+        assert dephasing.f_e[k] == pytest.approx(want, rel=1e-12, abs=1e-15)
+    ref = fsr.states(rho0, 3, (1e5, 43.1e3, 1e6), (3e6, 3e6), "dephasing", [(1e-6, 0.0, 0.0, 30e6)], 1e-6 / 2000)
+    j = fsr.index((0, 0, 1), 3)
+    assert np.abs(dephasing.f_e - [r[j, j].real for r in ref]).max() <= 1e-10
 
 
 # ---------------------------------------------------- one segment's end state
 
 def test_pure_hamiltonian_segment_matches_unitary_route():
-    # oracle: U rho U+ with U = expm(-i H t), independent of the superoperator path
+    # oracle: U rho U+ with U = expm(-i H t), H from the full-space reference
     rates = make_rates(g_scp=8e6, g_pe=3e6)
-    model = make_model(rates, 1e-7, d_sc=5e6, d_p=12e6)
-    seg = model.schedule.segments[0]
+    schedule = DetuningSchedule.constant(1e-7, delta_sc=5e6, delta_p=12e6)
+    seg = schedule.segments[0]
     rho0 = basis_ket((1, 0, 0), LAYOUT)
-    evolution = Evolution(model, rho0, SimOptions())
+    evolution = Evolution(rates, schedule, rho0, SimOptions())
     got = evolution.block_state(seg.duration)
-    h = build_rotating_hamiltonian(rates, (seg.delta_sc, seg.delta_e, seg.delta_p), LAYOUT)
+    h = fsr.hamiltonian(fsr.mode_operators(3), (8e6, 3e6), (seg.delta_sc, seg.delta_e, seg.delta_p))
     u = expm(-1j * h * seg.duration)
     want = u @ rho0 @ u.conj().T
     inside = np.ix_(evolution.block, evolution.block)
@@ -218,27 +227,27 @@ def test_pure_hamiltonian_segment_matches_unitary_route():
 
 def test_decay_only_segment_matches_closed_form():
     kappa = 2e5
-    model = make_model(make_rates(kappa_sc=kappa, g_scp=0.0, g_pe=0.0), 1e-6)
-    evolution = Evolution(model, basis_ket((1, 0, 0), LAYOUT), SimOptions())
+    rates = make_rates(kappa_sc=kappa, g_scp=0.0, g_pe=0.0)
+    evolution = Evolution(rates, DetuningSchedule.constant(1e-6), basis_ket((1, 0, 0), LAYOUT), SimOptions())
     assert evolution.population((1, 0, 0), 7e-7) == pytest.approx(np.exp(-TWO_PI * kappa * 7e-7), rel=1e-12)
 
 
 def test_propagate_segment_methods_agree():
     rates = make_rates(kappa_sc=1e5, kappa_p=43.1e3, kappa_e=1e6)
-    model = make_model(rates, 1e-7, d_p=30e6)
+    schedule = DetuningSchedule.constant(1e-7, delta_p=30e6)
     rho0 = basis_ket((1, 0, 0), LAYOUT)
     rel_tol = 1e-8
-    end = model.schedule.duration
-    a = Evolution(model, rho0, SimOptions(rel_tol=rel_tol)).block_state(end)
-    b = Evolution(model, rho0, SimOptions(method="adaptive-stepper", rel_tol=rel_tol)).block_state(end)
+    end = schedule.duration
+    a = Evolution(rates, schedule, rho0, SimOptions(rel_tol=rel_tol)).block_state(end)
+    b = Evolution(rates, schedule, rho0, SimOptions(method="adaptive-stepper", rel_tol=rel_tol)).block_state(end)
     assert np.abs(a - b).max() <= rel_tol
 
 
 # ------------------------------------------------------------- trajectory
 
 def test_trajectory_csv_format(tmp_path):
-    model = make_model(make_rates(kappa_sc=1e5), 1e-8)
-    traj = evolve(model, basis_ket((1, 0, 0), LAYOUT), SimOptions(sample_dt=2e-9))
+    schedule = DetuningSchedule.constant(1e-8)
+    traj = evolve(make_rates(kappa_sc=1e5), schedule, basis_ket((1, 0, 0), LAYOUT), SimOptions(sample_dt=2e-9))
     path = tmp_path / "traj.csv"
     traj.to_csv(path)
     lines = path.read_text().splitlines()
@@ -260,24 +269,23 @@ def test_csv_writer_formats_floats_and_keeps_str_for_the_rest(tmp_path):
 
 
 def test_evolve_rejects_layout_mismatch():
-    model = make_model(make_rates(), 1e-8, n_ph=4)
-    rho0 = basis_ket((1, 0, 0), LAYOUT)  # n_ph = 3 state
+    rho0 = basis_ket((1, 0, 0), LAYOUT)  # n_ph = 3 state; SimOptions alone sets n_ph = 4
     with pytest.raises(ValueError, match=r"^density matrix shape \(12, 12\) does not match layout \(2, 4, 2\)$"):
-        evolve(model, rho0, SimOptions(n_ph=4))
+        evolve(make_rates(), DetuningSchedule.constant(1e-8), rho0, SimOptions(n_ph=4))
 
 
 def test_evolution_validates_the_start_state():
-    model = make_model(make_rates(), 1e-8)
+    rates, schedule = make_rates(), DetuningSchedule.constant(1e-8)
     skew = basis_ket((1, 0, 0), LAYOUT)
     skew[IDX_100, IDX_001] = 0.5
     with pytest.raises(NumericalIntegrityError, match=r"^density matrix is not Hermitian \(relative defect 6\.325e-01\)$"):
-        Evolution(model, skew, SimOptions())
+        Evolution(rates, schedule, skew, SimOptions())
     imaginary = np.zeros((LAYOUT.dim, LAYOUT.dim), dtype=complex)   # unit trace, but an imaginary diagonal
     imaginary[IDX_100, IDX_100], imaginary[IDX_001, IDX_001] = 0.5 + 1e-3j, 0.5 - 1e-3j
     with pytest.raises(NumericalIntegrityError, match=r"^density matrix is not Hermitian"):
-        evolve(model, imaginary, SimOptions())
+        evolve(rates, schedule, imaginary, SimOptions())
     with pytest.raises(ValueError, match=r"^density matrix trace \(2\+0j\) is not 1$"):
-        Evolution(model, 2 * basis_ket((1, 0, 0), LAYOUT), SimOptions())
+        Evolution(rates, schedule, 2 * basis_ket((1, 0, 0), LAYOUT), SimOptions())
 
 
 def test_sim_options_validation():
@@ -302,21 +310,6 @@ def test_tripartite_operator_shapes():
 BLOCK_DT = 2e-9
 
 
-def full_space_reference(model, rho0):
-    """Full-space states every BLOCK_DT from expm of the full Liouvillian; segment ends lie on samples."""
-    d = model.layout.dim
-    jumps = jump_operators(model)
-    v = rho0.reshape(-1, order="F")
-    states = [v]
-    for seg in model.schedule.segments:
-        h = build_rotating_hamiltonian(model.rates, (seg.delta_sc, seg.delta_e, seg.delta_p), model.layout)
-        step = expm(liouvillian(h, jumps) * BLOCK_DT)
-        for _ in range(round(seg.duration / BLOCK_DT)):
-            v = step @ v
-            states.append(v)
-    return [0.5 * (r + r.conj().T) for r in (v.reshape(d, d, order="F") for v in states)]
-
-
 def block_start(name, layout):
     if name == "100+001":
         psi = np.zeros(layout.dim, dtype=complex)
@@ -325,26 +318,34 @@ def block_start(name, layout):
     return basis_ket(tuple(int(c) for c in name), layout)
 
 
-def assert_block_kernel_matches_full_liouvillian(model, rho0, options):
-    """evolve's samples and the block's end state against full-space expm steps, within 1e-10."""
-    layout = model.layout
-    traj = evolve(model, rho0, options)
-    ref = full_space_reference(model, rho0)
+def assert_block_kernel_matches_full_liouvillian(rates, schedule, rho0, options):
+    """evolve's samples and the block's end state against full-space expm steps, within 1e-10.
+
+    The reference is tests/full_space_reference.py, which shares no code with the kernel.
+    """
+    n_ph = options.n_ph
+    traj = evolve(rates, schedule, rho0, options)
+    ref = fsr.states(
+        rho0, n_ph, (rates.kappa_sc, rates.kappa_p, rates.kappa_e), (rates.g_scp, rates.g_pe),
+        options.spin_decay_model,
+        [(seg.duration, seg.delta_sc, seg.delta_e, seg.delta_p) for seg in schedule.segments],
+        BLOCK_DT,
+    )
     assert traj.times.size == len(ref)
 
-    ops = tripartite_operators(layout)
+    ops = fsr.mode_operators(n_ph)
     for name, got in (("sm_sc", traj.p_sc), ("a", traj.p_p), ("sm_e", traj.p_e)):
         number = ops[name].conj().T @ ops[name]
         want = [np.trace(number @ r).real for r in ref]
         assert np.abs(got - want).max() <= 1e-10, name
-    for key, got in traj.fidelities.items():
-        idx = layout.index(tuple(int(c) for c in key))
-        assert np.abs(got - [r[idx, idx].real for r in ref]).max() <= 1e-10, key
+    for labels, got in (((1, 0, 0), traj.f_sc), ((0, 1, 0), traj.f_p), ((0, 0, 1), traj.f_e)):
+        j = fsr.index(labels, n_ph)
+        assert np.abs(got - [r[j, j].real for r in ref]).max() <= 1e-10, labels
     assert np.abs(traj.trace_errs - [abs(np.trace(r) - 1) for r in ref]).max() <= 1e-10
     assert np.abs(traj.min_eigenvalues - [np.linalg.eigvalsh(r)[0] for r in ref]).max() <= 1e-10
 
-    evolution = Evolution(model, rho0, options)
-    segments = model.schedule.segments
+    evolution = Evolution(rates, schedule, rho0, options)
+    segments = schedule.segments
     for seg in segments:
         assert evolution.population((1, 1, 1), seg.t_end) == 0.0   # outside every start's block
     end = np.zeros_like(ref[-1])
@@ -362,9 +363,8 @@ def test_block_kernel_matches_full_liouvillian(n_ph, spin_decay, start):
         Segment(0.0, 4e-8, delta_e=20e6, delta_p=5e6),
         Segment(4e-8, 1e-7, delta_sc=-15e6, delta_p=-8e6),
     )
-    model = LindbladModel(rates, layout, DetuningSchedule(segments), spin_decay)
-    options = SimOptions(n_ph=n_ph, sample_dt=BLOCK_DT)
-    assert_block_kernel_matches_full_liouvillian(model, block_start(start, layout), options)
+    options = SimOptions(n_ph=n_ph, sample_dt=BLOCK_DT, spin_decay_model=spin_decay)
+    assert_block_kernel_matches_full_liouvillian(rates, DetuningSchedule(segments), block_start(start, layout), options)
 
 
 KAPPA = st.floats(0.0, 2e6)
@@ -391,9 +391,9 @@ def test_block_kernel_matches_full_liouvillian_on_random_runs(n_ph, spin_decay, 
     for n, d_sc, d_e, d_p in spans:
         segments.append(Segment(steps * BLOCK_DT, (steps + n) * BLOCK_DT, d_sc, d_e, d_p))
         steps += n
-    model = LindbladModel(rates, layout, DetuningSchedule(tuple(segments)), spin_decay)
-    options = SimOptions(n_ph=n_ph, sample_dt=BLOCK_DT)
-    assert_block_kernel_matches_full_liouvillian(model, block_start(start, layout), options)
+    options = SimOptions(n_ph=n_ph, sample_dt=BLOCK_DT, spin_decay_model=spin_decay)
+    schedule = DetuningSchedule(tuple(segments))
+    assert_block_kernel_matches_full_liouvillian(rates, schedule, block_start(start, layout), options)
 
 
 def test_exceptional_point_takes_the_expm_fallback(monkeypatch):
@@ -401,7 +401,7 @@ def test_exceptional_point_takes_the_expm_fallback(monkeypatch):
     # at its exceptional point and the block Liouvillian is defective
     kappa_sc, kappa_p = 1e6, 2e5
     g = abs(kappa_sc - kappa_p) / 4
-    model = make_model(make_rates(kappa_sc=kappa_sc, kappa_p=kappa_p, g_scp=g, g_pe=0.0), 2e-6)
+    rates = make_rates(kappa_sc=kappa_sc, kappa_p=kappa_p, g_scp=g, g_pe=0.0)
     calls = []
 
     def counting_expm(a):
@@ -409,7 +409,7 @@ def test_exceptional_point_takes_the_expm_fallback(monkeypatch):
         return expm(a)
 
     monkeypatch.setattr(dynamics, "expm", counting_expm)
-    traj = evolve(model, basis_ket((1, 0, 0), LAYOUT), SimOptions())
+    traj = evolve(rates, DetuningSchedule.constant(2e-6), basis_ket((1, 0, 0), LAYOUT), SimOptions())
     assert calls, "the spectral form was used at the exceptional point"
     h_eff = TWO_PI * np.array([[0.0, g], [g, 0.0]]) - 1j * np.pi * np.diag([kappa_sc, kappa_p])
     want = [abs(expm(-1j * h_eff * t)[0, 0]) ** 2 for t in traj.times]
